@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -567,22 +568,62 @@ BENCHMARK(BM_ColumnarWalkSimd)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+/// The serving facade's saved artifact, shared by the reload benches.
+const std::string& serve_artifact() {
+  static const std::string* bytes =
+      new std::string(serve::save_bytes(serve_facade()));
+  return *bytes;
+}
+
 // The stall a hot reload inserts between serving steps: full envelope
 // validation + payload parse + tier compile + atomic swap of a T+M+C
 // facade artifact already in memory (the disk read is BM-irrelevant and
 // retried I/O is a policy knob, not a hot path).
 void BM_ServerReloadStall(benchmark::State& state) {
-  static const std::string* bytes =
-      new std::string(serve::save_bytes(serve_facade()));
   ManualClock clock;
   serve::Server server(serve::Predictor(serve_predictor()),
                        serve::ServerConfig{}, clock);
   for (auto _ : state) {
-    if (!server.reload_bytes(*bytes)) std::abort();
+    if (!server.reload_bytes(serve_artifact())) std::abort();
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServerReloadStall)->Unit(benchmark::kMillisecond);
+
+// BM_ServerReloadStall split into its stages on the same artifact:
+//   hash     envelope_hash over the whole artifact
+//   parse    load_lumos5g — the hash check plus the payload decode, so the
+//            decode alone is parse − hash
+//   compile  Predictor::compile of the decoded facade
+enum class LoadStage { kHash, kParse, kCompile };
+
+void BM_ArtifactLoad(benchmark::State& state, LoadStage stage) {
+  const std::string& bytes = serve_artifact();
+  const core::Lumos5G& model = serve_facade();
+  for (auto _ : state) {
+    switch (stage) {
+      case LoadStage::kHash:
+        benchmark::DoNotOptimize(serve::envelope_hash(bytes));
+        break;
+      case LoadStage::kParse:
+        if (!serve::load_lumos5g(bytes)) std::abort();
+        break;
+      case LoadStage::kCompile:
+        if (!serve::Predictor::compile(model)) std::abort();
+        break;
+    }
+  }
+  if (stage != LoadStage::kCompile) {
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes.size()));
+  }
+}
+BENCHMARK_CAPTURE(BM_ArtifactLoad, hash, LoadStage::kHash)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ArtifactLoad, parse, LoadStage::kParse)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ArtifactLoad, compile, LoadStage::kCompile)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ThroughputMapBuild(benchmark::State& state) {
   const auto& ds = airport_ds();

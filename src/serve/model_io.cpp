@@ -4,10 +4,12 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "data/features.h"
 
 namespace lumos::serve {
 namespace {
@@ -15,23 +17,31 @@ namespace {
 constexpr std::size_t kHeaderSize = 4 + 4 + 1 + 8;  // magic, version, kind, size
 constexpr std::size_t kHashSize = 8;
 
-/// FNV-1a 64-bit over a byte range — endian-free, dependency-free, and
-/// plenty to catch truncation and bit rot (this is an integrity check, not
-/// an authenticity one).
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+// ---------------------------------------------------------------------------
+// Byte-level primitives. Every field is little-endian on disk, so artifacts
+// are identical across hosts regardless of endianness or struct padding.
+// Writes are composed byte by byte; reads load a whole word at a time on
+// little-endian hosts and compose bytes only on big-endian ones.
+// ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Byte-level primitives. Everything is composed/decomposed byte by byte in
-// little-endian order, so artifacts are identical across hosts regardless
-// of endianness or struct padding.
-// ---------------------------------------------------------------------------
+/// The unsigned little-endian integer stored at `p` (unaligned).
+template <typename T>
+T load_le(const char* p) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+  } else {
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v = static_cast<T>(
+          v | static_cast<T>(static_cast<T>(static_cast<unsigned char>(p[i]))
+                             << (8 * i)));
+    }
+    return v;
+  }
+}
 
 class Writer {
  public:
@@ -69,10 +79,10 @@ class Reader {
   bool done() const noexcept { return ok_ && pos_ == d_.size(); }
   std::size_t remaining() const noexcept { return d_.size() - pos_; }
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(le(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
+  std::uint8_t u8() { return le<std::uint8_t>(); }
+  std::uint16_t u16() { return le<std::uint16_t>(); }
+  std::uint32_t u32() { return le<std::uint32_t>(); }
+  std::uint64_t u64() { return le<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
@@ -90,20 +100,24 @@ class Reader {
     return ok_ ? static_cast<std::size_t>(c) : 0;
   }
 
- private:
-  std::uint64_t le(std::size_t n) {
+  /// Claims the next `n` bytes with one bounds check, for fixed-stride
+  /// records the caller decodes with load_le. nullptr (and the fail flag)
+  /// when fewer than `n` remain.
+  const char* block(std::size_t n) {
     if (!ok_ || remaining() < n) {
       ok_ = false;
-      return 0;
+      return nullptr;
     }
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(d_[pos_ + i]))
-           << (8 * i);
-    }
+    const char* p = d_.data() + pos_;
     pos_ += n;
-    return v;
+    return p;
+  }
+
+ private:
+  template <typename T>
+  T le() {
+    const char* p = block(sizeof(T));
+    return p != nullptr ? load_le<T>(p) : T{0};
   }
 
   std::string_view d_;
@@ -204,25 +218,21 @@ void write_tree(Writer& w, const ml::GradientTree& t) {
   w.u16(t.missing_code());
 }
 
-/// Structural soundness of a decoded node array: children always point
+/// Structural soundness of decoded node `i` of `n`: children always point
 /// forward (the builder allocates them after their parent, and forwardness
 /// makes traversal provably terminating), stay in range, and splits name a
-/// feature the model actually has.
-bool valid_tree(const std::vector<ml::GradientTree::Node>& nodes,
-                std::size_t n_features) {
-  const auto n = static_cast<std::int64_t>(nodes.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto& node = nodes[static_cast<std::size_t>(i)];
-    if (node.feature < 0) {
-      if (node.left != -1 || node.right != -1) return false;
-    } else {
-      if (static_cast<std::size_t>(node.feature) >= n_features) return false;
-      if (node.bin < 0 || node.bin > 0xFFFF) return false;
-      if (node.left <= i || node.left >= n) return false;
-      if (node.right <= i || node.right >= n) return false;
-    }
-  }
-  return true;
+/// feature the model actually has. Branch-free: leaves and splits
+/// interleave unpredictably, so a branch on the node type would mispredict
+/// on about every other node.
+bool valid_node(const ml::GradientTree::Node& node, std::int64_t i,
+                std::int64_t n, std::size_t n_features) noexcept {
+  const bool leaf = node.feature < 0;
+  const bool leaf_ok = (node.left == -1) & (node.right == -1);
+  const bool split_ok =
+      (static_cast<std::uint64_t>(node.feature) < n_features) &
+      (static_cast<std::uint32_t>(node.bin) <= 0xFFFFU) &
+      (node.left > i) & (node.left < n) & (node.right > i) & (node.right < n);
+  return (leaf & leaf_ok) | (!leaf & split_ok);
 }
 
 /// Node count 0 is legal (an unfit tree predicts 0.0); `n_features` bounds
@@ -230,20 +240,34 @@ bool valid_tree(const std::vector<ml::GradientTree::Node>& nodes,
 bool read_tree(Reader& r, std::size_t n_features, ml::GradientTree& out) {
   constexpr std::size_t kNodeBytes = 4 + 8 + 4 + 4 + 4 + 8 + 1;
   const std::size_t n = r.count(kNodeBytes);
-  std::vector<ml::GradientTree::Node> nodes(n);
-  for (auto& node : nodes) {
-    node.feature = r.i32();
-    node.threshold = r.f64();
-    node.bin = r.i32();
-    node.left = r.i32();
-    node.right = r.i32();
-    node.value = r.f64();
-    node.default_left = r.boolean();
-  }
-  std::vector<double> gains(n);
-  for (auto& g : gains) g = r.f64();
+  // count() proved the node block fits, so it and the gains are claimed
+  // with one bounds check each; nodes are then decoded and validated in
+  // one pass without per-field branches.
+  const char* p = r.block(n * kNodeBytes);
+  const char* gain_bytes = r.block(n * 8);
   const std::uint16_t missing = r.u16();
-  if (!r.ok() || !valid_tree(nodes, n_features)) return false;
+  if (!r.ok()) return false;
+  std::vector<ml::GradientTree::Node> nodes;
+  nodes.reserve(n);
+  bool valid = true;
+  const auto n_signed = static_cast<std::int64_t>(n);
+  for (std::int64_t i = 0; i < n_signed; ++i, p += kNodeBytes) {
+    const auto& node = nodes.emplace_back(ml::GradientTree::Node{
+        static_cast<std::int32_t>(load_le<std::uint32_t>(p)),
+        std::bit_cast<double>(load_le<std::uint64_t>(p + 4)),
+        static_cast<std::int32_t>(load_le<std::uint32_t>(p + 12)),
+        static_cast<std::int32_t>(load_le<std::uint32_t>(p + 16)),
+        static_cast<std::int32_t>(load_le<std::uint32_t>(p + 20)),
+        std::bit_cast<double>(load_le<std::uint64_t>(p + 24)),
+        p[32] != 0});
+    valid = valid & valid_node(node, i, n_signed, n_features);
+  }
+  if (!valid) return false;
+  std::vector<double> gains(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    gains[i] =
+        std::bit_cast<double>(load_le<std::uint64_t>(gain_bytes + 8 * i));
+  }
   out.restore(std::move(nodes), std::move(gains), missing);
   return true;
 }
@@ -557,7 +581,7 @@ std::string finalize(ModelKind kind, const std::string& payload) {
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(kHeaderSize + payload.size() + kHashSize);
   w.raw(payload.data(), payload.size());
-  w.u64(fnv1a(w.view()));
+  w.u64(envelope_hash(w.view()));
   return w.take();
 }
 
@@ -602,8 +626,8 @@ Expected<std::string_view> check_envelope(std::string_view bytes,
                      " trailing bytes after the declared artifact end"};
   }
   const std::size_t hash_at = static_cast<std::size_t>(declared) - kHashSize;
-  Reader stored_hash(bytes.substr(hash_at));
-  if (fnv1a(bytes.substr(0, hash_at)) != stored_hash.u64()) {
+  if (envelope_hash(bytes.substr(0, hash_at)) !=
+      load_le<std::uint64_t>(bytes.data() + hash_at)) {
     return Error{ErrorCode::kCorrupt,
                  "model artifact failed its integrity hash (bit rot or "
                  "partial write)"};
@@ -621,6 +645,61 @@ Expected<std::string_view> check_envelope(std::string_view bytes,
 }
 
 }  // namespace
+
+std::uint64_t envelope_hash(std::string_view bytes) noexcept {
+  // XXH64 with seed 0 (the public xxHash64 algorithm). Four independent
+  // lanes each fold one 8-byte word per 32-byte stripe, so the multiplies
+  // pipeline instead of forming one byte-serial dependency chain.
+  constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ULL;
+  constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4FULL;
+  constexpr std::uint64_t kP3 = 0x165667B19E3779F9ULL;
+  constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ULL;
+  constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ULL;
+  const auto round = [](std::uint64_t acc, std::uint64_t input) {
+    return std::rotl(acc + input * kP2, 31) * kP1;
+  };
+  const auto merge = [&round](std::uint64_t acc, std::uint64_t lane) {
+    return (acc ^ round(0, lane)) * kP1 + kP4;
+  };
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  std::uint64_t h;
+  if (bytes.size() >= 32) {
+    std::uint64_t v1 = kP1 + kP2;
+    std::uint64_t v2 = kP2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = round(v1, load_le<std::uint64_t>(p));
+      v2 = round(v2, load_le<std::uint64_t>(p + 8));
+      v3 = round(v3, load_le<std::uint64_t>(p + 16));
+      v4 = round(v4, load_le<std::uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = merge(merge(merge(merge(h, v1), v2), v3), v4);
+  } else {
+    h = kP5;
+  }
+  h += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ round(0, load_le<std::uint64_t>(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    h = std::rotl(h ^ (load_le<std::uint32_t>(p) * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p != end; ++p) {
+    const std::uint64_t byte = static_cast<unsigned char>(*p);
+    h = std::rotl(h ^ (byte * kP5), 11) * kP1;
+  }
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 const char* to_string(ModelKind k) noexcept {
   switch (k) {
@@ -743,6 +822,14 @@ Expected<core::Lumos5G> load_lumos5g(std::string_view bytes) {
         !read_gbdt_classifier_payload(r, cls)) {
       return parse_error("malformed models for tier " + std::to_string(i));
     }
+    // Serving hands each tier a feature row exactly as wide as its spec
+    // derives; a model claiming more features could index past that row.
+    const std::size_t width =
+        data::feature_width(model.tier_specs()[i], cfg.features);
+    if (reg.n_features() != width || cls.n_features() != width) {
+      return parse_error("tier " + std::to_string(i) +
+                         " models disagree with the tier's feature width");
+    }
     model.restore_tier(i, std::move(reg), std::move(cls));
   }
   if (!r.done()) return parse_error("malformed lumos5g payload");
@@ -815,14 +902,31 @@ Expected<void> write_artifact(const std::filesystem::path& path,
 }
 
 Expected<std::string> read_artifact(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
+  // A directory opens as a stream whose end offset is meaningless, so only
+  // regular files are sized and read.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Error{ErrorCode::kIoError,
+                 "cannot open " + path.string() + ": not a regular file"};
+  }
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Error{ErrorCode::kIoError, "cannot open " + path.string()};
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Error{ErrorCode::kIoError, "read failure on " + path.string()};
+  // One sized read of the stream actually opened — its end offset, then a
+  // single bulk copy — so a concurrent rename cannot pair one file's size
+  // with another's bytes.
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) {
+    return Error{ErrorCode::kIoError, "cannot size " + path.string()};
+  }
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(size));
+  if (in.gcount() != static_cast<std::streamsize>(size)) {
+    return Error{ErrorCode::kIoError,
+                 "short read on " + path.string() + ": got " +
+                     std::to_string(in.gcount()) + " of " +
+                     std::to_string(size) + " bytes"};
   }
   return bytes;
 }

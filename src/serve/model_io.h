@@ -2,15 +2,20 @@
 // consumer story (§2.3, Fig. 4): a per-area predictor is trained once,
 // saved to a file, shipped to devices, and reloaded for online queries.
 //
-// Format (everything little-endian, byte-composed — independent of host
-// endianness and padding):
+// Format v2 (every field little-endian, independent of host endianness
+// and padding):
 //
 //   offset 0   u32  magic "L5GM"
 //   offset 4   u32  format version (kFormatVersion)
 //   offset 8   u8   model kind (ModelKind)
 //   offset 9   u64  total artifact size in bytes (header + payload + hash)
 //   offset 17  ...  kind-specific payload
-//   last 8     u64  FNV-1a hash of every byte before it
+//   last 8     u64  XXH64 (seed 0) of every byte before it (envelope_hash)
+//
+// Writers compose fields byte by byte; readers load a whole word at a time
+// (memcpy) on little-endian hosts and compose bytes on big-endian ones, so
+// the bytes on disk are the same either way. v1 differed only in its hash
+// (byte-serial FNV-1a) and is rejected with kVersionMismatch.
 //
 // Guarantees:
 //   * Deterministic: saving the same fitted model twice yields identical
@@ -47,7 +52,7 @@ namespace lumos::serve {
 inline constexpr char kMagic[4] = {'L', '5', 'G', 'M'};
 
 /// Current (and only accepted) format version.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Kind tag stored in the artifact header; a loader for kind X rejects an
 /// artifact of kind Y with kParseError.
@@ -66,6 +71,13 @@ inline constexpr std::uint8_t kMaxKindTag =
     static_cast<std::uint8_t>(ModelKind::kSeq2Seq);
 
 [[nodiscard]] const char* to_string(ModelKind k) noexcept;
+
+/// The integrity hash stored in an artifact's last 8 bytes: XXH64 with
+/// seed 0 over `bytes` (the public xxHash64 algorithm — word-at-a-time over
+/// four independent lanes). An integrity check against bit rot and partial
+/// writes, not an authenticity one. Exposed so tools and tests can reseal a
+/// deliberately edited payload.
+[[nodiscard]] std::uint64_t envelope_hash(std::string_view bytes) noexcept;
 
 // --- byte-buffer API ------------------------------------------------------
 // The in-memory half: save_bytes is pure and deterministic; the loaders
@@ -100,8 +112,8 @@ inline constexpr std::uint8_t kMaxKindTag =
 [[nodiscard]] Expected<void> write_artifact(const std::filesystem::path& path,
                                             const std::string& bytes);
 
-/// Reads a whole artifact file. Errors with kIoError when the file cannot
-/// be opened or read.
+/// Reads a whole artifact file with one sized read. Errors with kIoError
+/// when the file cannot be opened, sized, or read in full.
 [[nodiscard]] Expected<std::string> read_artifact(
     const std::filesystem::path& path);
 

@@ -19,18 +19,32 @@ Expected<Predictor> Predictor::compile(const core::Lumos5G& model) {
   p.features_ = model.config().features;
   p.fallback_ = model.config().fallback;
   p.specs_ = model.tier_specs();
-  p.tiers_.resize(p.specs_.size());
-  p.tier_names_.reserve(p.specs_.size());
-  p.tier_widths_.reserve(p.specs_.size());
-  for (std::size_t i = 0; i < p.specs_.size(); ++i) {
+  const std::size_t n_tiers = p.specs_.size();
+  p.tiers_.resize(n_tiers);
+  p.tier_names_.reserve(n_tiers);
+  p.tier_widths_.reserve(n_tiers);
+  for (std::size_t i = 0; i < n_tiers; ++i) {
     p.tier_names_.push_back(p.specs_[i].name());
     p.tier_widths_.push_back(data::feature_width(p.specs_[i], p.features_));
     p.max_width_ = std::max(p.max_width_, p.tier_widths_.back());
-    if (!model.tier_trained(i)) continue;
-    p.tiers_[i].regressor = FlatForest::flatten(model.tier_regressor(i));
-    p.tiers_[i].classifier = FlatClassifier::flatten(model.tier_classifier(i));
-    p.tiers_[i].compiled = true;
+    p.tiers_[i].compiled = model.tier_trained(i);
   }
+  // Every tier's classifier and regressor flattens as an independent task
+  // into its own slot, so the snapshot is identical at any pool size.
+  // Tasks [0, n) are the classifiers — a K-class classifier holds K times
+  // the regressor's trees — so the heaviest are handed out first.
+  parallel_for(0, 2 * n_tiers, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t k = b; k < e; ++k) {
+      const std::size_t i = k % n_tiers;
+      if (!p.tiers_[i].compiled) continue;
+      if (k < n_tiers) {
+        p.tiers_[i].classifier =
+            FlatClassifier::flatten(model.tier_classifier(i));
+      } else {
+        p.tiers_[i].regressor = FlatForest::flatten(model.tier_regressor(i));
+      }
+    }
+  });
   return p;
 }
 

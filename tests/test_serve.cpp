@@ -5,6 +5,7 @@
 // Predictor (bit-identical to the Lumos5G facade, batch == individual).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,7 +13,10 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "core/lumos5g.h"
 #include "data/features.h"
 #include "ml/forest.h"
@@ -141,6 +145,14 @@ std::vector<std::vector<data::SampleRecord>> query_windows() {
   return windows;
 }
 
+/// A per-process temp path: the same suite runs concurrently under several
+/// ctest entries (plain, LUMOS_THREADS pins, one per discovered test), so
+/// shared fixed names would race.
+std::filesystem::path temp_path(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (name + "_" + std::to_string(::getpid()));
+}
+
 // ---------- artifact format ----------
 
 TEST(ModelIo, SaveIsDeterministic) {
@@ -209,8 +221,7 @@ TEST(ModelIo, ForestClassifierRoundTripBitIdentical) {
 }
 
 TEST(ModelIo, Lumos5GRoundTripThroughFileBitIdentical) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "lumos_test_serve_facade.l5gm";
+  const auto path = temp_path("lumos_test_serve_facade.l5gm");
   ASSERT_TRUE(save_model(facade(), path).has_value());
   const auto bytes = read_artifact(path);
   ASSERT_TRUE(bytes.has_value());
@@ -325,6 +336,344 @@ TEST(ModelIo, MissingFileIsIoError) {
   const auto r = read_artifact("/nonexistent/lumos/model.l5gm");
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, ErrorCode::kIoError);
+}
+
+TEST(ModelIo, ReadArtifactRoundTripsWrittenBytes) {
+  const auto path = temp_path("lumos_test_serve_read.l5gm");
+  const std::string bytes = save_bytes(facade());
+  ASSERT_TRUE(write_artifact(path, bytes).has_value());
+  const auto got = read_artifact(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes);
+
+  // An empty file reads as zero bytes; the loader then types it.
+  ASSERT_TRUE(write_artifact(path, "").has_value());
+  const auto empty = read_artifact(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST(ModelIo, ReadArtifactOfDirectoryIsIoError) {
+  const auto r = read_artifact(std::filesystem::temp_directory_path());
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, ErrorCode::kIoError);
+}
+
+// ---------- envelope hash and format version ----------
+
+TEST(ModelIo, EnvelopeHashIsXxh64KnownAnswers) {
+  // Published XXH64 (seed 0) values: the empty input, a short tail-only
+  // input, and one full 32-byte stripe plus a 4-byte and 3-byte tail.
+  EXPECT_EQ(envelope_hash(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(envelope_hash("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(envelope_hash("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  // 31 stripes plus one 8-byte tail word. Its low 32 bits are the content
+  // checksum a zstd frame of these bytes carries (zstd stores XXH64's low
+  // half), which cross-checks the value against an independent encoder.
+  std::string ramp(1000, '\0');
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<char>((i * 7 + 3) & 0xFFU);
+  }
+  EXPECT_EQ(envelope_hash(ramp), 0x5F235FA033F1A3FBULL);
+}
+
+/// Little-endian field access for tests that edit artifacts in place.
+template <typename T>
+T get_le(const std::string& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(b[at + i])} << (8 * i);
+  }
+  return static_cast<T>(v);
+}
+
+template <typename T>
+void put_le(std::string& b, std::size_t at, T value) {
+  const auto v = static_cast<std::uint64_t>(value);
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    b[at + i] = static_cast<char>((v >> (8 * i)) & 0xFFU);
+  }
+}
+
+/// Rewrites the trailing 8-byte hash with `hash(everything before it)`.
+template <typename HashFn>
+void reseal(std::string& bytes, HashFn hash) {
+  const std::size_t at = bytes.size() - 8;
+  put_le<std::uint64_t>(bytes, at, hash(std::string_view(bytes).substr(0, at)));
+}
+
+/// The v1 envelope hash: byte-serial FNV-1a 64.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(ModelIo, V1ArtifactRejectedNamingBothVersions) {
+  // A v1-shaped artifact: same layout, version field 1, FNV-1a tail.
+  ASSERT_EQ(kFormatVersion, 2u);
+  std::string v1 = save_bytes(gbdt_reg());
+  put_le<std::uint32_t>(v1, 4, 1);
+  reseal(v1, fnv1a);
+  const auto r = load_gbdt_regressor(v1);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, ErrorCode::kVersionMismatch);
+  EXPECT_NE(r.error().message.find("v1"), std::string::npos)
+      << r.error().message;
+  EXPECT_NE(r.error().message.find("v2"), std::string::npos)
+      << r.error().message;
+  const auto kind = peek_kind(v1);
+  ASSERT_FALSE(kind.has_value());
+  EXPECT_EQ(kind.error().code, ErrorCode::kVersionMismatch);
+}
+
+/// A deliberately tiny fitted regressor (two features, few bins, three
+/// shallow trees) so per-bit damage tests can afford every bit.
+const ml::GbdtRegressor& tiny_gbdt_reg() {
+  static const ml::GbdtRegressor* m = [] {
+    ml::GbdtConfig cfg;
+    cfg.n_estimators = 3;
+    cfg.max_depth = 2;
+    cfg.n_bins = 8;
+    ml::FeatureMatrix x(64, 2);
+    std::vector<double> y(64);
+    for (std::size_t r = 0; r < 64; ++r) {
+      x.at(r, 0) = static_cast<double>(r % 8);
+      x.at(r, 1) = static_cast<double>((r * 5) % 7);
+      y[r] = 2.0 * x.at(r, 0) + x.at(r, 1);
+    }
+    auto* g = new ml::GbdtRegressor(cfg);
+    g->fit(x, y);
+    return g;
+  }();
+  return *m;
+}
+
+TEST(ModelIo, EverySingleBitFlipIsTyped) {
+  const std::string full = save_bytes(tiny_gbdt_reg());
+  ASSERT_TRUE(load_gbdt_regressor(full).has_value());
+  ASSERT_LT(full.size(), 4096u) << "keep the exhaustive sweep small";
+  for (std::size_t pos = 0; pos < full.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = full;
+      damaged[pos] = static_cast<char>(
+          static_cast<unsigned char>(damaged[pos]) ^ (1u << bit));
+      const auto r = load_gbdt_regressor(damaged);
+      ASSERT_FALSE(r.has_value()) << "byte " << pos << " bit " << bit;
+      // Which check fires is fixed by where the flip lands: the magic and
+      // version are checked first, the size field next, and everything
+      // else — the kind byte included — is covered by the hash.
+      const auto code = r.error().code;
+      if (pos < 4) {
+        EXPECT_EQ(code, ErrorCode::kBadMagic) << "byte " << pos;
+      } else if (pos < 8) {
+        EXPECT_EQ(code, ErrorCode::kVersionMismatch) << "byte " << pos;
+      } else if (pos >= 9 && pos < 17) {
+        EXPECT_TRUE(code == ErrorCode::kTruncated ||
+                    code == ErrorCode::kCorrupt)
+            << "byte " << pos << " bit " << bit << " -> " << to_string(code);
+      } else {
+        EXPECT_EQ(code, ErrorCode::kCorrupt)
+            << "byte " << pos << " bit " << bit << " -> " << to_string(code);
+      }
+    }
+  }
+}
+
+// ---------- hash-valid crafted artifacts ----------
+
+/// Offsets of the structural fields of a Lumos5G artifact, found by walking
+/// the payload layout the writers in serve/model_io.cpp produce.
+struct FieldSites {
+  std::vector<std::size_t> counts;      ///< u64 element counts, n_features
+  std::vector<std::size_t> widths;      ///< u64 model n_features
+  std::vector<std::size_t> features;    ///< i32 node split feature
+  std::vector<std::size_t> links;       ///< i32 node left / right child
+  std::vector<std::size_t> thresholds;  ///< f64 node split threshold
+};
+
+class SiteWalker {
+ public:
+  explicit SiteWalker(const std::string& bytes) : b_(bytes) {}
+
+  FieldSites lumos5g() {
+    pos_ = 17;                     // magic, version, kind, size
+    pos_ += 4;                     // feature spec
+    pos_ += 4 + 4 + 8 + 8 + 8;     // feature config
+    pos_ += kGbdtConfigBytes;      // facade GBDT config
+    pos_ += 1;                     // fallback enabled
+    pos_ += 4 * count();           // fallback tier specs
+    pos_ += 1 + 8;                 // harmonic tail + window
+    const std::uint64_t n_tiers = count();
+    for (std::uint64_t t = 0; t < n_tiers; ++t) {
+      if (b_[pos_++] == 0) continue;  // untrained tier
+      gbdt(/*classifier=*/false);
+      gbdt(/*classifier=*/true);
+    }
+    EXPECT_EQ(pos_ + 8, b_.size()) << "walker out of step with the format";
+    return std::move(s_);
+  }
+
+ private:
+  static constexpr std::size_t kGbdtConfigBytes = 8 + 4 + 8 + 8 + 8 + 4 + 8 + 8;
+
+  std::uint64_t count() {
+    s_.counts.push_back(pos_);
+    const auto c = get_le<std::uint64_t>(b_, pos_);
+    pos_ += 8;
+    return c;
+  }
+
+  void gbdt(bool classifier) {
+    pos_ += kGbdtConfigBytes;
+    s_.widths.push_back(pos_);
+    count();  // n_features
+    if (classifier) {
+      const auto k = get_le<std::int32_t>(b_, pos_);
+      pos_ += 4 + 8 * static_cast<std::size_t>(k);  // n_classes + bases
+    } else {
+      pos_ += 8;  // base
+    }
+    pos_ += 4;  // mapper max_bins
+    const std::uint64_t d = count();
+    for (std::uint64_t f = 0; f < d; ++f) pos_ += 8 * count();
+    const std::uint64_t n_trees = count();
+    for (std::uint64_t t = 0; t < n_trees; ++t) {
+      const std::uint64_t n = count();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        s_.features.push_back(pos_);
+        s_.thresholds.push_back(pos_ + 4);
+        s_.links.push_back(pos_ + 16);
+        s_.links.push_back(pos_ + 20);
+        pos_ += 33;
+      }
+      pos_ += 8 * n + 2;  // gains + missing code
+    }
+  }
+
+  const std::string& b_;
+  std::size_t pos_ = 0;
+  FieldSites s_;
+};
+
+/// A small trained facade for the crafted-artifact sweep.
+const core::Lumos5G& small_facade() {
+  static const core::Lumos5G* m = [] {
+    core::Lumos5GConfig cfg = facade_config();
+    cfg.gbdt.n_estimators = 6;
+    cfg.gbdt.max_depth = 3;
+    auto* f = new core::Lumos5G(cfg);
+    const auto ok = f->train(airport_ds());
+    EXPECT_TRUE(ok.has_value());
+    return f;
+  }();
+  return *m;
+}
+
+TEST(ModelIo, TierModelWiderThanItsSpecRejected) {
+  // Two coordinated edits no single-field mutation makes: a tier model
+  // claims more features than its tier spec derives, and its root splits
+  // on one of the extra ones. Tree validation alone would accept that
+  // split; serving would then read past the tier's feature row.
+  std::string crafted = save_bytes(small_facade());
+  const FieldSites sites = SiteWalker(crafted).lumos5g();
+  ASSERT_FALSE(sites.widths.empty());
+  const auto width = get_le<std::uint64_t>(crafted, sites.widths[0]);
+  ASSERT_GE(get_le<std::int32_t>(crafted, sites.features[0]), 0)
+      << "first tree's root should be a split";
+  put_le<std::uint64_t>(crafted, sites.widths[0], width + 8);
+  put_le<std::int32_t>(crafted, sites.features[0],
+                       static_cast<std::int32_t>(width + 4));
+  reseal(crafted, envelope_hash);
+  const auto r = load_lumos5g(crafted);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, ErrorCode::kParseError);
+}
+
+TEST(ModelIo, HashValidCraftedArtifactsAreTypedOrExact) {
+  const std::string clean = save_bytes(small_facade());
+  const FieldSites sites = SiteWalker(clean).lumos5g();
+  ASSERT_FALSE(sites.counts.empty());
+  ASSERT_FALSE(sites.features.empty());
+  const auto windows = query_windows();
+
+  // Edge values per field kind; thresholds are IEEE-754 bit patterns.
+  constexpr std::array<std::uint64_t, 5> kCounts = {0, 1, ~0ULL, 1ULL << 32,
+                                                    1ULL << 62};
+  constexpr std::array<std::int32_t, 10> kFeatures = {
+      -1, -2, 0, 1, 7, 15, 16, 64, INT32_MAX, INT32_MIN};
+  constexpr std::array<std::uint64_t, 5> kThresholds = {
+      0x7FF8000000000000ULL,  // NaN
+      0x7FF0000000000000ULL,  // +inf
+      0xFFF0000000000000ULL,  // -inf
+      0x8000000000000000ULL,  // -0.0
+      1ULL};                  // smallest denormal
+  Rng rng(42);
+  const auto pick = [&rng](const auto& v) {
+    return v[static_cast<std::size_t>(rng.uniform_int(v.size()))];
+  };
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string crafted = clean;
+    switch (trial % 4) {
+      case 0: {  // element counts and n_features: an edge value or off by a few
+        const std::size_t at = pick(sites.counts);
+        const auto c = get_le<std::uint64_t>(crafted, at);
+        put_le(crafted, at,
+               rng.bernoulli(0.5) ? pick(kCounts) : c + rng.uniform_int(5) - 2);
+        break;
+      }
+      case 1:  // split feature ids
+        put_le(crafted, pick(sites.features), pick(kFeatures));
+        break;
+      case 2: {  // child links: neighbours of the stored link or edge values
+        const std::size_t at = pick(sites.links);
+        const auto link = get_le<std::int32_t>(crafted, at);
+        const std::array<std::int32_t, 8> links = {
+            -1, 0, link - 1, link + 1, link + 2, 1000, INT32_MAX, INT32_MIN};
+        put_le(crafted, at, pick(links));
+        break;
+      }
+      default:  // split thresholds: special values or random bit patterns
+        put_le(crafted, pick(sites.thresholds),
+               rng.bernoulli(0.5) ? pick(kThresholds) : rng.next_u64());
+        break;
+    }
+    reseal(crafted, envelope_hash);
+    const auto loaded = load_lumos5g(crafted);
+    if (!loaded.has_value()) {
+      // The envelope is intact, so only the payload parser may object.
+      EXPECT_EQ(loaded.error().code, ErrorCode::kParseError)
+          << "trial " << trial << ": " << loaded.error().describe();
+      ++rejected;
+      continue;
+    }
+    // Accepted: it re-serializes to exactly the crafted bytes, and it
+    // compiles and serves without touching memory it does not own.
+    ++accepted;
+    EXPECT_EQ(save_bytes(*loaded), crafted) << "trial " << trial;
+    const auto compiled = Predictor::compile(*loaded);
+    ASSERT_TRUE(compiled.has_value()) << "trial " << trial;
+    for (const auto& w : windows) {
+      const auto a = loaded->predict(w);
+      const auto b = compiled->predict(w);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "trial " << trial;
+      if (a.has_value()) {
+        EXPECT_EQ(bits(a->throughput_mbps), bits(b->throughput_mbps));
+        EXPECT_EQ(a->throughput_class, b->throughput_class);
+      }
+    }
+  }
+  // Both outcomes must actually occur, or the sweep proves nothing.
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(accepted, 100u);
 }
 
 // ---------- flattened layout ----------
@@ -601,8 +950,7 @@ std::size_t count_temp_files(const std::filesystem::path& path) {
 }
 
 TEST(ModelIo, WriteArtifactCleansTempOnRenameFailure) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "lumos_test_serve_write_hygiene";
+  const auto dir = temp_path("lumos_test_serve_write_hygiene");
   std::filesystem::create_directories(dir / "occupied");
   // The destination is an existing directory: the temp write succeeds but
   // the rename over a directory cannot, so the error path must run and
@@ -615,8 +963,7 @@ TEST(ModelIo, WriteArtifactCleansTempOnRenameFailure) {
 }
 
 TEST(ModelIo, RacingWritersProduceWholeArtifacts) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "lumos_test_serve_write_race";
+  const auto dir = temp_path("lumos_test_serve_write_race");
   std::filesystem::create_directories(dir);
   const auto path = dir / "model.l5gm";
   const std::string a = save_bytes(gbdt_reg());

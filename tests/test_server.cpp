@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/clock.h"
 #include "core/lumos5g.h"
 #include "data/features.h"
@@ -469,8 +471,9 @@ TEST(Server, ReloadValidationFailureDoesNotRetry) {
   cfg.reload_backoff_ms = 10;
   Server server(make_predictor(), cfg, clock);
 
-  const auto dir =
-      std::filesystem::temp_directory_path() / "lumos_test_server_reload";
+  // Per-process: the suite runs concurrently under several ctest entries.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lumos_test_server_reload_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = dir / "bad.l5gm";
   std::string damaged = save_bytes(facade());
@@ -494,8 +497,10 @@ TEST(Server, ReloadValidationFailureDoesNotRetry) {
 TEST(Server, ReloadFromFileSwapsAndBumpsGeneration) {
   ManualClock clock;
   Server server(make_predictor(), ServerConfig{}, clock);
-  const auto dir =
-      std::filesystem::temp_directory_path() / "lumos_test_server_reload_ok";
+  // Per-process: the suite runs concurrently under several ctest entries.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("lumos_test_server_reload_ok_" +
+                    std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto path = dir / "model.l5gm";
   ASSERT_TRUE(write_artifact(path, save_bytes(facade())).has_value());
