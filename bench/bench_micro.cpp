@@ -283,13 +283,13 @@ BENCHMARK(BM_GdbtPredictNaNRouting)->Arg(0)->Arg(1);
 
 // ---- serving runtime: flattened layout vs pointer layout ----
 //
-// The same fitted GBDT scored three ways over the full feature matrix:
+// The same fitted GBDT scored two ways over the full feature matrix:
 //   Arg(0)  pointer layout, per-row predict() (the seed path)
 //   Arg(1)  flattened node-array, per-row predict()
-//   Arg(2)  flattened node-array, predict_batch() over the thread pool
-// All three are bit-identical (tests/test_serve.cpp); only the walk
-// differs. items/sec is rows scored per second, so the flat/pointer
-// ratio reads directly off the report.
+// Both are bit-identical (tests/test_serve.cpp); only the walk differs.
+// items/sec is rows scored per second, so the flat/pointer ratio reads
+// directly off the report. The batched columnar walk is measured by
+// BM_ColumnarVsRowPredict.
 
 void BM_FlatVsPointerPredict(benchmark::State& state) {
   static const auto built = data::build_features(
@@ -308,12 +308,10 @@ void BM_FlatVsPointerPredict(benchmark::State& state) {
       for (std::size_t r = 0; r < built.x.rows(); ++r) {
         benchmark::DoNotOptimize(model->predict(built.x.row(r)));
       }
-    } else if (mode == 1) {
+    } else {
       for (std::size_t r = 0; r < built.x.rows(); ++r) {
         benchmark::DoNotOptimize(flat.predict(built.x.row(r)));
       }
-    } else {
-      benchmark::DoNotOptimize(flat.predict_batch(built.x));
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -322,22 +320,16 @@ void BM_FlatVsPointerPredict(benchmark::State& state) {
 BENCHMARK(BM_FlatVsPointerPredict)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // ---- columnar feature store (DESIGN §11) ----
 //
-// The histogram build is the inner loop of every tree fit. Arg(0) builds
-// one tree over row-major uint16 codes (the seed layout: a d-strided walk
-// per candidate feature); Arg(1) over the pre-binned SoA BinnedMatrix
-// (one contiguous, usually uint8, column per feature). The fitted trees
-// are bit-identical (tests/test_columnar.cpp); only the memory walk
-// differs, so the Arg(0)/Arg(1) ratio is the layout win.
+// The histogram build is the inner loop of every tree fit: one tree over
+// the pre-binned SoA BinnedMatrix (one contiguous, usually uint8, column
+// per feature). Arg(1) keeps the row name the committed baseline gates.
 void BM_HistogramBuild(benchmark::State& state) {
   // Sized like a wide training campaign (full L+M+C expansion plus lag
-  // features): the row-major codes (rows x cols x 2B = 4 MB, 128 B row
-  // stride) spill the cache, while one columnar uint8 column (32 KB)
-  // stays resident.
+  // features): one columnar uint8 column (32 KB) stays cache-resident.
   constexpr std::size_t kRows = 32768;
   constexpr std::size_t kCols = 64;
   static const ml::FeatureMatrix* x = [] {
@@ -366,27 +358,21 @@ void BM_HistogramBuild(benchmark::State& state) {
     m->fit(*x, 128);  // codes fit uint8: every columnar column is narrow
     return m;
   }();
-  static const std::vector<std::uint16_t> codes = mapper->encode(*x);
   static const ml::BinnedMatrix binned = ml::BinnedMatrix::build(*mapper, *x);
   ml::TreeConfig cfg;
   // Shallow tree: the big sequential root-level histogram passes dominate,
   // which is the kernel under measurement (deeper levels shrink nodes into
   // cache, where layout stops mattering and tree bookkeeping takes over).
   cfg.max_depth = 3;
-  const long mode = state.range(0);
   for (auto _ : state) {
     ml::GradientTree tree;
-    if (mode == 0) {
-      tree.fit(codes, *mapper, *grad, hess, *indices, cfg);
-    } else {
-      tree.fit(binned, *mapper, *grad, hess, *indices, cfg);
-    }
+    tree.fit(binned, *mapper, *grad, hess, *indices, cfg);
     benchmark::DoNotOptimize(tree);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRows));
 }
-BENCHMARK(BM_HistogramBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HistogramBuild)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Serving-side layout comparison over the same flattened 300-tree GBDT:
 //   Arg(0)  per-row predict() over row-major feature rows

@@ -4,10 +4,10 @@
 // gathers), SSE2 (2 doubles, emulated gathers), NEON (2 doubles, emulated
 // gathers) — with a scalar build when none is available. The wrapper
 // deliberately exposes only operations whose per-lane semantics are
-// IEEE-754-identical to the scalar code they replace: lane-wise add / mul
-// / div, ordered comparisons (NaN compares false, exactly like a scalar
-// `<=`), NaN tests via unordered self-compare, bit blends, and gathers
-// that read the same addresses the scalar loop would. No FMA contraction,
+// IEEE-754-identical to the scalar code they replace: lane-wise add / mul,
+// ordered comparisons (NaN compares false, exactly like a scalar `<=`),
+// NaN tests via unordered self-compare, bit blends, and gathers that read
+// the same addresses the scalar loop would. No FMA contraction,
 // no reassociation, no approximate math: a vectorized kernel built on
 // this header produces bit-identical results to its scalar twin, which is
 // what lets serve::FlatForest dispatch between the two freely.
@@ -85,7 +85,6 @@ inline VInt32 gather_i32(const std::int32_t* base, VInt32 idx) noexcept {
 
 inline VDouble add(VDouble a, VDouble b) noexcept { return _mm256_add_pd(a, b); }
 inline VDouble mul(VDouble a, VDouble b) noexcept { return _mm256_mul_pd(a, b); }
-inline VDouble div(VDouble a, VDouble b) noexcept { return _mm256_div_pd(a, b); }
 
 /// Ordered a <= b: NaN in either operand gives a false (zero) lane,
 /// matching the scalar `v <= threshold` the tree walk uses.
@@ -204,7 +203,6 @@ inline VDouble load_f64(const double* p) noexcept { return _mm_loadu_pd(p); }
 inline void store_f64(double* p, VDouble v) noexcept { _mm_storeu_pd(p, v); }
 inline VDouble add(VDouble a, VDouble b) noexcept { return _mm_add_pd(a, b); }
 inline VDouble mul(VDouble a, VDouble b) noexcept { return _mm_mul_pd(a, b); }
-inline VDouble div(VDouble a, VDouble b) noexcept { return _mm_div_pd(a, b); }
 inline VDouble cmp_le(VDouble a, VDouble b) noexcept {
   return _mm_cmple_pd(a, b);
 }
@@ -241,7 +239,6 @@ inline VDouble load_f64(const double* p) noexcept { return vld1q_f64(p); }
 inline void store_f64(double* p, VDouble v) noexcept { vst1q_f64(p, v); }
 inline VDouble add(VDouble a, VDouble b) noexcept { return vaddq_f64(a, b); }
 inline VDouble mul(VDouble a, VDouble b) noexcept { return vmulq_f64(a, b); }
-inline VDouble div(VDouble a, VDouble b) noexcept { return vdivq_f64(a, b); }
 inline VDouble cmp_le(VDouble a, VDouble b) noexcept {
   return vreinterpretq_f64_u64(vcleq_f64(a, b));
 }

@@ -40,6 +40,35 @@ std::vector<data::FeatureSetSpec> derive_tiers(
 
 }  // namespace
 
+Expected<Prediction> harmonic_tail(std::span<const data::SampleRecord> recent,
+                                   const FallbackConfig& fallback,
+                                   const data::FeatureConfig& features,
+                                   std::size_t n_tiers) {
+  if (fallback.enabled && fallback.harmonic_tail) {
+    double inv_sum = 0.0;
+    std::size_t n = 0;
+    for (std::size_t k = recent.size();
+         k-- > 0 && n < fallback.harmonic_window;) {
+      const double v = recent[k].throughput_mbps;
+      if (std::isfinite(v) && v > 0.0) {
+        inv_sum += 1.0 / v;
+        ++n;
+      }
+    }
+    if (n > 0) {
+      Prediction p;
+      p.throughput_mbps = static_cast<double>(n) / inv_sum;
+      p.throughput_class = data::throughput_class(p.throughput_mbps, features);
+      p.tier = static_cast<int>(n_tiers);
+      p.feature_group = "harmonic";
+      return p;
+    }
+  }
+  // Static message: the hot path never formats (see lumos_lint's
+  // hot-path-alloc pass); the typed code is the contract.
+  return Error{ErrorCode::kWindowUnusable, "window unusable"};
+}
+
 Lumos5G::Lumos5G(Lumos5GConfig cfg)
     : cfg_(std::move(cfg)),
       tier_specs_(derive_tiers(cfg_.feature_spec, cfg_.fallback)) {
@@ -116,32 +145,8 @@ Expected<Prediction> Lumos5G::predict(
     p.feature_group = tier_group_names_[i];  // SSO copy: group names are short
     return p;
   }
-  if (cfg_.fallback.enabled && cfg_.fallback.harmonic_tail) {
-    // Harmonic mean of the most recent positive finite throughputs — the
-    // classic ABR estimator; robust to a single outlier spike.
-    double inv_sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t k = recent.size();
-         k-- > 0 && n < cfg_.fallback.harmonic_window;) {
-      const double v = recent[k].throughput_mbps;
-      if (std::isfinite(v) && v > 0.0) {
-        inv_sum += 1.0 / v;
-        ++n;
-      }
-    }
-    if (n > 0) {
-      Prediction p;
-      p.throughput_mbps = static_cast<double>(n) / inv_sum;
-      p.throughput_class =
-          data::throughput_class(p.throughput_mbps, cfg_.features);
-      p.tier = static_cast<int>(tier_specs_.size());
-      p.feature_group = "harmonic";
-      return p;
-    }
-  }
-  // Static message: the hot path never formats (see lumos_lint's
-  // hot-path-alloc pass); the typed code is the contract.
-  return Error{ErrorCode::kWindowUnusable, "window unusable"};
+  return harmonic_tail(recent, cfg_.fallback, cfg_.features,
+                       tier_specs_.size());
 }
 
 const std::vector<std::string>& Lumos5G::feature_names() const noexcept {

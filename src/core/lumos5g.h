@@ -61,6 +61,18 @@ struct Prediction {
   std::string feature_group;
 };
 
+/// The non-ML tail of the fallback chain: the harmonic mean of the most
+/// recent positive finite throughputs in `recent` (at most
+/// fallback.harmonic_window of them) — the classic ABR estimator, robust to
+/// a single outlier spike. Answers as tier `n_tiers` with feature group
+/// "harmonic". Errors with kWindowUnusable when the fallback or its tail is
+/// disabled or the window holds no usable sample. The one tail shared by
+/// Lumos5G::predict and serve::Predictor.
+Expected<Prediction> harmonic_tail(std::span<const data::SampleRecord> recent,
+                                   const FallbackConfig& fallback,
+                                   const data::FeatureConfig& features,
+                                   std::size_t n_tiers);
+
 class Lumos5G {
  public:
   explicit Lumos5G(Lumos5GConfig cfg = {});

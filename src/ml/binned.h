@@ -1,21 +1,16 @@
-// Columnar (SoA) pre-binned code store — the histogram-build side of the
-// columnar feature layer (DESIGN §11).
+// Columnar (SoA) pre-binned code store — the training store of every tree
+// ensemble (DESIGN §11).
 //
-// BinMapper::encode() produces row-major uint16 codes: the code for
-// (row r, feature f) lives at codes[r * d + f], so a per-feature histogram
-// pass strides through memory d*2 bytes at a time and touches one cache
-// line per row. BinnedMatrix stores the same codes transposed — one
-// contiguous array per feature — and narrows each column to uint8 when
+// The code for (row r, feature f) is BinMapper::bin(f, x(r, f)). Codes are
+// stored one contiguous array per feature, so a per-feature histogram pass
+// reads one column sequentially, and each column is narrowed to uint8 when
 // every code it holds (including the missing-value code, if the column has
-// NaNs) fits: a histogram pass then reads 64 codes per cache line instead
-// of one or two.
+// NaNs) fits: a histogram pass then reads 64 codes per cache line.
 //
 // The narrowing rule is a pure function of the stored data (max code in
 // the column <= 255), so building the matrix twice from the same inputs
-// yields byte-identical storage, and the training loops that consume it
-// read codes in exactly the row order the row-major path uses — which is
-// what makes columnar training bit-identical to the row path
-// (tests/test_columnar.cpp).
+// yields byte-identical storage, and the fitted trees are a pure function
+// of the codes (tests/test_golden.cpp pins them).
 #pragma once
 
 #include <cstdint>

@@ -51,8 +51,7 @@ void GbdtRegressor::fit(const FeatureMatrix& x, std::span<const double> y) {
   mapper_.fit(x, cfg_.n_bins);
   // Quantize once into the columnar store; every boosting round reuses the
   // same contiguous code columns for its histogram builds and its margin
-  // update (bit-identical to the old row-major code path — see
-  // tests/test_columnar.cpp).
+  // update.
   const auto binned = BinnedMatrix::build(mapper_, x);
 
   for (double v : y) base_ += v;

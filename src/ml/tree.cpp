@@ -58,16 +58,6 @@ double BinMapper::upper_edge(std::size_t f, std::uint16_t b) const noexcept {
   return e[b];
 }
 
-std::vector<std::uint16_t> BinMapper::encode(const FeatureMatrix& x) const {
-  std::vector<std::uint16_t> codes(x.rows() * x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t f = 0; f < x.cols(); ++f) {
-      codes[r * x.cols() + f] = bin(f, x.at(r, f));
-    }
-  }
-  return codes;
-}
-
 namespace {
 
 struct NodeTask {
@@ -82,175 +72,61 @@ struct NodeTask {
 /// feature; small nodes are dominated by dispatch overhead).
 constexpr std::size_t kParallelNodeRows = 1024;
 
-/// Code source over row-major uint16 codes (the seed layout): one stride-d
-/// load per row in the histogram pass.
-///
-/// Both sources take `idx == nullptr` to mean "the range is the identity
-/// permutation" (row r == position i) — fit_impl detects that once per
-/// node and the accumulate loops drop the per-row indirection. Row visit
-/// order is unchanged either way, so the per-bin floating-point sums are
-/// bit-identical with and without the fast path.
-struct RowMajorCodes {
-  const std::uint16_t* codes;
-  std::size_t d;
-
-  std::uint16_t code(std::size_t r, std::size_t f) const noexcept {
-    return codes[r * d + f];
-  }
-  void accumulate(std::size_t f, const std::size_t* idx, std::size_t begin,
-                  std::size_t end, const double* grad, const double* hess,
-                  double* hg, double* hh, std::size_t* hc) const noexcept {
-    if (idx == nullptr) {
-      // 4-way unroll with the code loads hoisted ahead of the bin updates:
-      // the four strided loads issue back to back instead of each waiting
-      // behind the previous row's read-modify-write of hg/hh. Rows are
-      // still visited (and each bin accumulated) in ascending row order,
-      // so the per-bin FP sums are bit-identical to the plain loop.
-      std::size_t r = begin;
-      for (; r + 4 <= end; r += 4) {
-        const std::uint16_t b0 = codes[(r + 0) * d + f];
-        const std::uint16_t b1 = codes[(r + 1) * d + f];
-        const std::uint16_t b2 = codes[(r + 2) * d + f];
-        const std::uint16_t b3 = codes[(r + 3) * d + f];
-        hg[b0] += grad[r + 0];
-        hh[b0] += hess[r + 0];
-        ++hc[b0];
-        hg[b1] += grad[r + 1];
-        hh[b1] += hess[r + 1];
-        ++hc[b1];
-        hg[b2] += grad[r + 2];
-        hh[b2] += hess[r + 2];
-        ++hc[b2];
-        hg[b3] += grad[r + 3];
-        hh[b3] += hess[r + 3];
-        ++hc[b3];
-      }
-      for (; r < end; ++r) {
-        const std::uint16_t b = codes[r * d + f];
-        hg[b] += grad[r];
-        hh[b] += hess[r];
-        ++hc[b];
-      }
-      return;
+/// Accumulates the gradient/hessian/count histogram of one code column
+/// over positions [begin, end) of the node's index range. `idx == nullptr`
+/// means the range is the identity permutation (row r == position i):
+/// fit() detects that once per node and the loop drops the per-row
+/// indirection, reading the column strictly sequentially (64 uint8 codes
+/// per cache line, ideal for the prefetcher). Rows are visited in
+/// ascending position order either way, so the per-bin floating-point
+/// sums are bit-identical with and without the fast path.
+template <class Code>
+void accumulate_column(const Code* col, const std::size_t* idx,
+                       std::size_t begin, std::size_t end, const double* grad,
+                       const double* hess, double* hg, double* hh,
+                       std::size_t* hc) noexcept {
+  if (idx == nullptr) {
+    // 4-way unroll with the code loads hoisted ahead of the bin updates:
+    // the four loads issue back to back instead of each waiting behind the
+    // previous row's read-modify-write of hg/hh. Each bin still
+    // accumulates its rows in ascending order.
+    std::size_t r = begin;
+    for (; r + 4 <= end; r += 4) {
+      const Code c0 = col[r + 0];
+      const Code c1 = col[r + 1];
+      const Code c2 = col[r + 2];
+      const Code c3 = col[r + 3];
+      hg[c0] += grad[r + 0];
+      hh[c0] += hess[r + 0];
+      ++hc[c0];
+      hg[c1] += grad[r + 1];
+      hh[c1] += hess[r + 1];
+      ++hc[c1];
+      hg[c2] += grad[r + 2];
+      hh[c2] += hess[r + 2];
+      ++hc[c2];
+      hg[c3] += grad[r + 3];
+      hh[c3] += hess[r + 3];
+      ++hc[c3];
     }
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t r = idx[i];
-      const std::uint16_t b = codes[r * d + f];
-      hg[b] += grad[r];
-      hh[b] += hess[r];
-      ++hc[b];
+    for (; r < end; ++r) {
+      const Code c = col[r];
+      hg[c] += grad[r];
+      hh[c] += hess[r];
+      ++hc[c];
     }
+    return;
   }
-};
-
-/// Code source over a columnar BinnedMatrix: the histogram pass walks one
-/// contiguous (uint8 where possible) column, dispatched on the stored
-/// width once per feature instead of once per access. Row order inside
-/// the loop matches RowMajorCodes exactly, so per-bin accumulation — and
-/// therefore the chosen split — is bit-identical.
-struct ColumnarCodes {
-  const BinnedMatrix* b;
-
-  std::uint16_t code(std::size_t r, std::size_t f) const noexcept {
-    return b->code(r, f);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t r = idx[i];
+    const Code c = col[r];
+    hg[c] += grad[r];
+    hh[c] += hess[r];
+    ++hc[c];
   }
-  void accumulate(std::size_t f, const std::size_t* idx, std::size_t begin,
-                  std::size_t end, const double* grad, const double* hess,
-                  double* hg, double* hh, std::size_t* hc) const noexcept {
-    if (b->narrow(f)) {
-      const std::uint8_t* col = b->col8(f);
-      if (idx == nullptr) {
-        // Identity range: the code column is read strictly sequentially —
-        // 64 codes per cache line, ideal for the hardware prefetcher. Same
-        // hoisted-load 4-way unroll as RowMajorCodes (bit-identical: rows
-        // and their bin updates stay in ascending row order).
-        std::size_t r = begin;
-        for (; r + 4 <= end; r += 4) {
-          const std::uint8_t c0 = col[r + 0];
-          const std::uint8_t c1 = col[r + 1];
-          const std::uint8_t c2 = col[r + 2];
-          const std::uint8_t c3 = col[r + 3];
-          hg[c0] += grad[r + 0];
-          hh[c0] += hess[r + 0];
-          ++hc[c0];
-          hg[c1] += grad[r + 1];
-          hh[c1] += hess[r + 1];
-          ++hc[c1];
-          hg[c2] += grad[r + 2];
-          hh[c2] += hess[r + 2];
-          ++hc[c2];
-          hg[c3] += grad[r + 3];
-          hh[c3] += hess[r + 3];
-          ++hc[c3];
-        }
-        for (; r < end; ++r) {
-          const std::uint8_t c = col[r];
-          hg[c] += grad[r];
-          hh[c] += hess[r];
-          ++hc[c];
-        }
-        return;
-      }
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t r = idx[i];
-        const std::uint8_t c = col[r];
-        hg[c] += grad[r];
-        hh[c] += hess[r];
-        ++hc[c];
-      }
-    } else {
-      const std::uint16_t* col = b->col16(f);
-      if (idx == nullptr) {
-        std::size_t r = begin;
-        for (; r + 4 <= end; r += 4) {
-          const std::uint16_t c0 = col[r + 0];
-          const std::uint16_t c1 = col[r + 1];
-          const std::uint16_t c2 = col[r + 2];
-          const std::uint16_t c3 = col[r + 3];
-          hg[c0] += grad[r + 0];
-          hh[c0] += hess[r + 0];
-          ++hc[c0];
-          hg[c1] += grad[r + 1];
-          hh[c1] += hess[r + 1];
-          ++hc[c1];
-          hg[c2] += grad[r + 2];
-          hh[c2] += hess[r + 2];
-          ++hc[c2];
-          hg[c3] += grad[r + 3];
-          hh[c3] += hess[r + 3];
-          ++hc[c3];
-        }
-        for (; r < end; ++r) {
-          const std::uint16_t c = col[r];
-          hg[c] += grad[r];
-          hh[c] += hess[r];
-          ++hc[c];
-        }
-        return;
-      }
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t r = idx[i];
-        const std::uint16_t c = col[r];
-        hg[c] += grad[r];
-        hh[c] += hess[r];
-        ++hc[c];
-      }
-    }
-  }
-};
+}
 
 }  // namespace
-
-void GradientTree::fit(const std::vector<std::uint16_t>& codes,
-                       const BinMapper& mapper, std::span<const double> grad,
-                       std::span<const double> hess,
-                       std::span<const std::size_t> indices,
-                       const TreeConfig& cfg, Rng* rng) {
-  LUMOS_EXPECTS(codes.size() == grad.size() * mapper.n_features(),
-                "GradientTree::fit: codes size disagrees with mapper width");
-  fit_impl(RowMajorCodes{codes.data(), mapper.n_features()}, mapper, grad,
-           hess, indices, cfg, rng);
-}
 
 void GradientTree::fit(const BinnedMatrix& binned, const BinMapper& mapper,
                        std::span<const double> grad,
@@ -260,15 +136,6 @@ void GradientTree::fit(const BinnedMatrix& binned, const BinMapper& mapper,
   LUMOS_EXPECTS(binned.rows() == grad.size() &&
                     binned.cols() == mapper.n_features(),
                 "GradientTree::fit: binned shape disagrees with mapper");
-  fit_impl(ColumnarCodes{&binned}, mapper, grad, hess, indices, cfg, rng);
-}
-
-template <class Source>
-void GradientTree::fit_impl(const Source& src, const BinMapper& mapper,
-                            std::span<const double> grad,
-                            std::span<const double> hess,
-                            std::span<const std::size_t> indices,
-                            const TreeConfig& cfg, Rng* rng) {
   LUMOS_EXPECTS(grad.size() == hess.size(),
                 "GradientTree::fit: grad/hess length mismatch");
   nodes_.clear();
@@ -354,8 +221,16 @@ void GradientTree::fit_impl(const Source& src, const BinMapper& mapper,
       std::fill(hg.begin(), hg.end(), 0.0);
       std::fill(hh.begin(), hh.end(), 0.0);
       std::fill(hc.begin(), hc.end(), std::size_t{0});
-      src.accumulate(f, acc_idx, task.begin, task.end, grad.data(),
-                     hess.data(), hg.data(), hh.data(), hc.data());
+      // Dispatch on the stored column width once per feature, not per row.
+      if (binned.narrow(f)) {
+        accumulate_column(binned.col8(f), acc_idx, task.begin, task.end,
+                          grad.data(), hess.data(), hg.data(), hh.data(),
+                          hc.data());
+      } else {
+        accumulate_column(binned.col16(f), acc_idx, task.begin, task.end,
+                          grad.data(), hess.data(), hg.data(), hh.data(),
+                          hc.data());
+      }
       // Missing-bin mass: scored with the missing rows attached to the
       // right child (option R, matching the historical NaN fallthrough)
       // and to the left child (option L); the better direction is learned
@@ -426,7 +301,7 @@ void GradientTree::fit_impl(const Source& src, const BinMapper& mapper,
         idx.begin() + static_cast<std::ptrdiff_t>(task.begin),
         idx.begin() + static_cast<std::ptrdiff_t>(task.end),
         [&](std::size_t r) {
-          const std::uint16_t c = src.code(r, bf);
+          const std::uint16_t c = binned.code(r, bf);
           if (c == missing) return best.default_left;
           return c <= static_cast<std::uint16_t>(best.bin);
         });
@@ -455,22 +330,6 @@ void GradientTree::fit_impl(const Source& src, const BinMapper& mapper,
   }
 }
 
-double GradientTree::predict_binned(
-    std::span<const std::uint16_t> row_codes) const noexcept {
-  if (nodes_.empty()) return 0.0;
-  int cur = 0;
-  while (nodes_[static_cast<std::size_t>(cur)].feature >= 0) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    const std::uint16_t c = row_codes[static_cast<std::size_t>(n.feature)];
-    if (c == missing_code_) {
-      cur = n.default_left ? n.left : n.right;
-    } else {
-      cur = c <= static_cast<std::uint16_t>(n.bin) ? n.left : n.right;
-    }
-  }
-  return nodes_[static_cast<std::size_t>(cur)].value;
-}
-
 double GradientTree::predict_binned(const BinnedMatrix& binned,
                                     std::size_t row) const noexcept {
   if (nodes_.empty()) return 0.0;
@@ -486,15 +345,6 @@ double GradientTree::predict_binned(const BinnedMatrix& binned,
     }
   }
   return nodes_[static_cast<std::size_t>(cur)].value;
-}
-
-void GradientTree::predict_binned_all(const BinnedMatrix& binned,
-                                      std::span<double> out) const {
-  LUMOS_EXPECTS(out.size() >= binned.rows(),
-                "GradientTree::predict_binned_all: one slot per row");
-  parallel_for(0, binned.rows(), 2048, [&](std::size_t b, std::size_t e) {
-    for (std::size_t r = b; r < e; ++r) out[r] = predict_binned(binned, r);
-  });
 }
 
 double GradientTree::predict(std::span<const double> row) const noexcept {

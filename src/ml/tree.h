@@ -45,9 +45,6 @@ class BinMapper {
   /// "x <= threshold goes left" for a split after bin b.
   double upper_edge(std::size_t f, std::uint16_t b) const noexcept;
 
-  /// Encodes a full matrix to row-major bin codes.
-  [[nodiscard]] std::vector<std::uint16_t> encode(const FeatureMatrix& x) const;
-
   std::size_t n_features() const noexcept { return edges_.size(); }
   int max_bins() const noexcept { return max_bins_; }
 
@@ -94,29 +91,17 @@ class GradientTree {
     bool default_left = false;
   };
 
-  /// Fits on pre-binned codes (row-major n x d, matching `mapper`).
-  /// `grad` and `hess` have length n; `indices` selects the rows to train
-  /// on (bootstrap sample for forests, all rows for boosting).
-  /// `rng` is used for per-node feature subsampling when
+  /// Fits on a pre-binned columnar code store (ml::BinnedMatrix built
+  /// through `mapper`). `grad` and `hess` have length n; `indices` selects
+  /// the rows to train on (bootstrap sample for forests, all rows for
+  /// boosting). `rng` is used for per-node feature subsampling when
   /// cfg.feature_subsample > 0.
   ///
-  /// Large nodes spread the candidate-feature histogram loop across the
-  /// global thread pool; per-feature work is independent and the best
-  /// split is reduced in fixed feature order, so the fitted tree is
-  /// bit-identical for any LUMOS_THREADS setting.
-  void fit(const std::vector<std::uint16_t>& codes, const BinMapper& mapper,
-           std::span<const double> grad, std::span<const double> hess,
-           std::span<const std::size_t> indices, const TreeConfig& cfg,
-           Rng* rng = nullptr);
-
-  /// Columnar fit: the same algorithm over a pre-binned SoA store
-  /// (ml::BinnedMatrix). The histogram build becomes a tight loop over one
-  /// contiguous (often uint8) code column per candidate feature instead of
-  /// a d-strided walk through row-major codes. Rows are accumulated in the
-  /// same order as the row-major overload, per-feature work is reduced in
-  /// fixed feature order, and the split scan is shared code — so the
-  /// fitted tree is bit-identical to fit(codes, ...) on the same data at
-  /// any LUMOS_THREADS setting (tests/test_columnar.cpp).
+  /// The histogram build is a tight loop over one contiguous (often uint8)
+  /// code column per candidate feature. Large nodes spread that loop
+  /// across the global thread pool; per-feature work is independent and
+  /// the best split is reduced in fixed feature order, so the fitted tree
+  /// is bit-identical for any LUMOS_THREADS setting.
   void fit(const BinnedMatrix& binned, const BinMapper& mapper,
            std::span<const double> grad, std::span<const double> hess,
            std::span<const std::size_t> indices, const TreeConfig& cfg,
@@ -127,30 +112,13 @@ class GradientTree {
   /// comparison fallthrough.
   [[nodiscard]] double predict(std::span<const double> row) const noexcept;
 
-  /// Predicts from one row of pre-binned codes (length = n_features of the
-  /// mapper used at fit time). Reaches exactly the same leaf as predict()
-  /// on the raw row: a raw value satisfies `v <= upper_edge(f, bin)` iff
-  /// its code satisfies `code <= bin`, and the missing code routes along
-  /// the same default branch as a raw NaN. Used by the boosting loop to
-  /// avoid re-binning every training row each round.
-  [[nodiscard]] double predict_binned(std::span<const std::uint16_t> row_codes)
-      const noexcept;
-
-  /// Same leaf walk over one row of a columnar code store. Reaches the
-  /// same leaf as predict_binned on the equivalent row-major codes; the
-  /// boosting loops use it so the margin update never materializes
-  /// row-major codes.
+  /// Predicts from row `row` of a columnar code store. Reaches exactly the
+  /// same leaf as predict() on the raw row: a raw value satisfies
+  /// `v <= upper_edge(f, bin)` iff its code satisfies `code <= bin`, and
+  /// the missing code routes along the same default branch as a raw NaN.
+  /// The boosting loops use it so the margin update never re-bins a row.
   [[nodiscard]] double predict_binned(const BinnedMatrix& binned,
                                       std::size_t row) const noexcept;
-
-  /// Batched leaf assignment over every row of the store: out[r] is the
-  /// leaf value row r reaches. Rows are chunked over the global thread
-  /// pool; each slot is written once, so the output is identical at any
-  /// LUMOS_THREADS. Rows ascend within a chunk, so each visited code
-  /// column is read at monotonically increasing offsets (cache-friendly,
-  /// unlike a row-major gather).
-  void predict_binned_all(const BinnedMatrix& binned,
-                          std::span<double> out) const;
 
   /// Adds each split's gain to `gain_by_feature` (size = n_features).
   void accumulate_gain(std::span<double> gain_by_feature) const noexcept;
@@ -183,18 +151,6 @@ class GradientTree {
     double gain = 0.0;
     bool default_left = false;  ///< where the missing bin goes
   };
-
-  /// Shared fit body. `Source` supplies the code layout: a histogram
-  /// accumulator (per candidate feature, over an index range) and a
-  /// single-code lookup (for partitioning). Both public fit overloads
-  /// instantiate it in tree.cpp; the split scan, reduction order, and
-  /// partition logic are one piece of code, which is what guarantees the
-  /// row and columnar paths stay bit-identical.
-  template <class Source>
-  void fit_impl(const Source& src, const BinMapper& mapper,
-                std::span<const double> grad, std::span<const double> hess,
-                std::span<const std::size_t> indices, const TreeConfig& cfg,
-                Rng* rng);
 
   std::vector<Node> nodes_;
   std::vector<double> gains_;  ///< gain of the split at each internal node

@@ -81,10 +81,9 @@ double traverse(const FlatNode* nodes, std::uint32_t root,
 
 FlatForest FlatForest::flatten(std::span<const ml::GradientTree> trees,
                                std::size_t first, std::size_t stride,
-                               Aggregate agg, double base, double scale) {
+                               double base, double scale) {
   LUMOS_EXPECTS(stride >= 1, "FlatForest::flatten: stride must be >= 1");
   FlatForest f;
-  f.agg_ = agg;
   f.base_ = base;
   f.scale_ = scale;
   std::size_t total_nodes = 0;
@@ -99,37 +98,16 @@ FlatForest FlatForest::flatten(std::span<const ml::GradientTree> trees,
 }
 
 FlatForest FlatForest::flatten(const ml::GbdtRegressor& model) {
-  return flatten(model.trees(), 0, 1, Aggregate::kScaledSum, model.base(),
+  return flatten(model.trees(), 0, 1, model.base(),
                  model.config().learning_rate);
 }
 
-FlatForest FlatForest::flatten(const ml::RandomForestRegressor& model) {
-  return flatten(model.trees(), 0, 1, Aggregate::kMean, 0.0, 1.0);
-}
-
 double FlatForest::predict(std::span<const double> row) const noexcept {
-  if (agg_ == Aggregate::kMean) {
-    if (roots_.empty()) return 0.0;  // matches RandomForest on no trees
-    double s = 0.0;
-    for (const std::uint32_t root : roots_) {
-      s += traverse(nodes_.data(), root, row);
-    }
-    return s / static_cast<double>(roots_.size());
-  }
   double s = base_;
   for (const std::uint32_t root : roots_) {
     s += scale_ * traverse(nodes_.data(), root, row);
   }
   return s;
-}
-
-std::vector<double> FlatForest::predict_batch(
-    const ml::FeatureMatrix& x) const {
-  std::vector<double> out(x.rows());
-  parallel_for(0, x.rows(), 64, [&](std::size_t b, std::size_t e) {
-    for (std::size_t r = b; r < e; ++r) out[r] = predict(x.row(r));
-  });
-  return out;
 }
 
 void FlatForest::eval_block(const data::ColumnBlock& block, std::size_t row0,
@@ -151,10 +129,7 @@ void FlatForest::eval_block(const data::ColumnBlock& block, std::size_t row0,
 void FlatForest::eval_block_scalar(const data::ColumnBlock& block,
                                    std::size_t row0, std::size_t m,
                                    double* acc) const noexcept {
-  const bool mean = agg_ == Aggregate::kMean;
-  const double init = mean ? 0.0 : base_;
-  for (std::size_t j = 0; j < m; ++j) acc[j] = init;
-  if (roots_.empty()) return;  // mean-of-nothing stays 0.0, like predict()
+  for (std::size_t j = 0; j < m; ++j) acc[j] = base_;
 
   const FlatNode* nodes = nodes_.data();
   std::uint32_t cur[kColumnarRowBlock];
@@ -180,17 +155,7 @@ void FlatForest::eval_block_scalar(const data::ColumnBlock& block,
     }
     // Fold this tree's leaves in tree order — the accumulation order of
     // predict(), so the block result is bit-identical per row.
-    if (mean) {
-      for (std::size_t j = 0; j < m; ++j) acc[j] += nodes[cur[j]].value;
-    } else {
-      for (std::size_t j = 0; j < m; ++j) {
-        acc[j] += scale_ * nodes[cur[j]].value;
-      }
-    }
-  }
-  if (mean) {
-    const double n_trees = static_cast<double>(roots_.size());
-    for (std::size_t j = 0; j < m; ++j) acc[j] /= n_trees;
+    for (std::size_t j = 0; j < m; ++j) acc[j] += scale_ * nodes[cur[j]].value;
   }
 }
 
@@ -213,9 +178,8 @@ void FlatForest::eval_block_simd(const data::ColumnBlock& block,
   const auto* node_f64 = reinterpret_cast<const double*>(nodes_.data());
   const auto* node_i32 = reinterpret_cast<const std::int32_t*>(nodes_.data());
 
-  const bool mean = agg_ == Aggregate::kMean;
   const auto scale_v = vs::broadcast_f64(scale_);
-  const auto init_v = vs::broadcast_f64(mean ? 0.0 : base_);
+  const auto init_v = vs::broadcast_f64(base_);
   const auto stride_v =
       vs::broadcast_i32(static_cast<std::int32_t>(block.stride));
   const auto zero_i = vs::broadcast_i32(0);
@@ -301,14 +265,10 @@ void FlatForest::eval_block_simd(const data::ColumnBlock& block,
     for (std::size_t g = 0; g < n_groups; ++g) {
       const auto leaf =
           vs::gather_f64(node_f64, vs::mul_i32(cur[g], two_i), all_lanes);
-      acc_v[g] = mean ? vs::add(acc_v[g], leaf)
-                      : vs::add(acc_v[g], vs::mul(scale_v, leaf));
+      acc_v[g] = vs::add(acc_v[g], vs::mul(scale_v, leaf));
     }
   }
-  const auto n_trees_v =
-      vs::broadcast_f64(static_cast<double>(roots_.size()));
   for (std::size_t g = 0; g < n_groups; ++g) {
-    if (mean) acc_v[g] = vs::div(acc_v[g], n_trees_v);
     vs::store_f64(acc + g * kW, acc_v[g]);
   }
 
@@ -337,9 +297,9 @@ FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
   FlatClassifier c;
   const int kc = model.n_classes();
   if (kc <= 0) return c;
-  // decision_function folds stages per class as
+  // GbdtClassifier::decision_function folds stages per class as
   //   score[c] = base[c] + lr_scale * tree(stage 0, c) + ... ,
-  // which is exactly one kScaledSum forest per class over the interleaved
+  // which is exactly one flat margin per class over the interleaved
   // [stage * kc + c] tree layout.
   const double lr_scale = model.config().learning_rate *
                           static_cast<double>(kc - 1) /
@@ -348,40 +308,15 @@ FlatClassifier FlatClassifier::flatten(const ml::GbdtClassifier& model) {
   for (int cls = 0; cls < kc; ++cls) {
     c.per_class_.push_back(FlatForest::flatten(
         model.trees(), static_cast<std::size_t>(cls),
-        static_cast<std::size_t>(kc), FlatForest::Aggregate::kScaledSum,
+        static_cast<std::size_t>(kc),
         model.base()[static_cast<std::size_t>(cls)], lr_scale));
   }
   return c;
 }
 
-FlatClassifier FlatClassifier::flatten(const ml::RandomForestClassifier& model) {
-  FlatClassifier c;
-  const int kc = model.n_classes();
-  if (kc <= 0) return c;
-  // RandomForestClassifier::predict sums raw per-class votes (no mean, no
-  // base); kScaledSum with base 0 / scale 1 reproduces that sum exactly.
-  c.per_class_.reserve(static_cast<std::size_t>(kc));
-  for (int cls = 0; cls < kc; ++cls) {
-    c.per_class_.push_back(FlatForest::flatten(
-        model.trees(), static_cast<std::size_t>(cls),
-        static_cast<std::size_t>(kc), FlatForest::Aggregate::kScaledSum, 0.0,
-        1.0));
-  }
-  return c;
-}
-
-std::vector<double> FlatClassifier::decision_function(
-    std::span<const double> row) const {
-  std::vector<double> score(per_class_.size());
-  for (std::size_t c = 0; c < per_class_.size(); ++c) {
-    score[c] = per_class_[c].predict(row);
-  }
-  return score;
-}
-
 int FlatClassifier::predict(std::span<const double> row) const noexcept {
   if (per_class_.empty()) return 0;
-  // First-max-wins argmax, matching both training-time classifiers.
+  // First-max-wins argmax, matching GbdtClassifier::predict.
   int best = 0;
   double best_score = per_class_[0].predict(row);
   for (std::size_t c = 1; c < per_class_.size(); ++c) {
@@ -424,15 +359,6 @@ void FlatClassifier::predict_columnar(const data::ColumnBlock& block,
       for (std::size_t j = 0; j < m; ++j) out[j0 + j] = best_class[j];
     }
   });
-}
-
-std::vector<int> FlatClassifier::predict_batch(
-    const ml::FeatureMatrix& x) const {
-  std::vector<int> out(x.rows());
-  parallel_for(0, x.rows(), 64, [&](std::size_t b, std::size_t e) {
-    for (std::size_t r = b; r < e; ++r) out[r] = predict(x.row(r));
-  });
-  return out;
 }
 
 std::size_t FlatClassifier::n_nodes() const noexcept {

@@ -10,8 +10,9 @@
 // Flattening is exact, not approximate: thresholds and leaf values keep
 // their IEEE-754 bit patterns and the per-tree accumulation order matches
 // the training-time predict() loops, so a FlatForest/FlatClassifier is
-// bit-identical to the pointer-layout model it was built from (enforced by
-// tests/test_serve.cpp).
+// bit-identical to the GBDT it was built from (enforced by
+// tests/test_serve.cpp). The serving runtime compiles GBDT tiers only, so
+// GBDT is the only model family that flattens.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +20,8 @@
 #include <vector>
 
 #include "data/column_store.h"
-#include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/tree.h"
-#include "ml/types.h"
 
 namespace lumos::serve {
 
@@ -49,37 +48,18 @@ struct FlatNode {
 
 static_assert(sizeof(FlatNode) == 16, "FlatNode must stay 16 bytes");
 
-/// A contiguous, iteratively-traversed ensemble with a fixed aggregation
-/// rule. Covers a GBDT margin (base + lr * sum) and a Random Forest mean.
+/// A contiguous, iteratively-traversed GBDT margin:
+/// base + scale * tree_0 + scale * tree_1 + ...
 class FlatForest {
  public:
-  enum class Aggregate : std::uint8_t {
-    kScaledSum,  ///< base + scale * tree_0 + scale * tree_1 + ...
-    kMean,       ///< (tree_0 + tree_1 + ...) / n_trees; 0.0 when empty
-  };
-
   FlatForest() = default;
 
-  /// Flattens every `stride`-th tree of `trees` starting at `first` (the
-  /// interleaved [stage * n_classes + c] classifier layout selects one
-  /// class with first = c, stride = n_classes; plain ensembles use
-  /// first = 0, stride = 1). Tree order — and therefore floating-point
-  /// accumulation order — is preserved.
-  static FlatForest flatten(std::span<const ml::GradientTree> trees,
-                            std::size_t first, std::size_t stride,
-                            Aggregate agg, double base, double scale);
-
-  /// Convenience: the full prediction path of a fitted model.
+  /// The full prediction path of a fitted regressor.
   static FlatForest flatten(const ml::GbdtRegressor& model);
-  static FlatForest flatten(const ml::RandomForestRegressor& model);
 
-  /// Bit-identical to the source ensemble's predict() on the same row.
+  /// The single-row reference walk, bit-identical to the source
+  /// ensemble's predict() on the same row.
   [[nodiscard]] double predict(std::span<const double> row) const noexcept;
-
-  /// Batch predict, chunked over the global thread pool; rows are
-  /// independent so the output is identical at any LUMOS_THREADS.
-  [[nodiscard]] std::vector<double> predict_batch(
-      const ml::FeatureMatrix& x) const;
 
   /// Columnar batch predict: out[r] receives row r's prediction,
   /// bit-identical to predict() on the equivalent contiguous row (same
@@ -99,6 +79,15 @@ class FlatForest {
 
  private:
   friend class FlatClassifier;
+
+  /// Flattens every `stride`-th tree of `trees` starting at `first` (the
+  /// interleaved [stage * n_classes + c] classifier layout selects one
+  /// class with first = c, stride = n_classes; the regressor uses
+  /// first = 0, stride = 1). Tree order — and therefore floating-point
+  /// accumulation order — is preserved.
+  static FlatForest flatten(std::span<const ml::GradientTree> trees,
+                            std::size_t first, std::size_t stride,
+                            double base, double scale);
 
   /// Evaluates rows [row0, row0 + m) of `block` into acc[0..m);
   /// m <= kColumnarRowBlock. The per-row result is bit-identical to
@@ -122,31 +111,21 @@ class FlatForest {
 
   std::vector<FlatNode> nodes_;
   std::vector<std::uint32_t> roots_;  ///< root node index per tree
-  Aggregate agg_ = Aggregate::kScaledSum;
   double base_ = 0.0;
   double scale_ = 1.0;
 };
 
-/// Argmax over per-class FlatForests; mirrors GbdtClassifier /
-/// RandomForestClassifier prediction (first class wins ties, matching the
-/// training-time argmax scans).
+/// Argmax over per-class FlatForests; mirrors GbdtClassifier prediction
+/// (first class wins ties, matching the training-time argmax scan).
 class FlatClassifier {
  public:
   FlatClassifier() = default;
 
   static FlatClassifier flatten(const ml::GbdtClassifier& model);
-  static FlatClassifier flatten(const ml::RandomForestClassifier& model);
 
-  /// Per-class scores, bit-identical to the source model's margins.
-  [[nodiscard]] std::vector<double> decision_function(
-      std::span<const double> row) const;
-
-  /// Bit-identical to the source classifier's predict().
+  /// The single-row reference walk, bit-identical to the source
+  /// classifier's predict().
   [[nodiscard]] int predict(std::span<const double> row) const noexcept;
-
-  /// Batch predict over the global thread pool (deterministic).
-  [[nodiscard]] std::vector<int> predict_batch(
-      const ml::FeatureMatrix& x) const;
 
   /// Columnar batch predict: out[r] is row r's class, bit-identical to
   /// predict() (per-class scores via the same block kernel, first-max-wins

@@ -1,7 +1,6 @@
 #include "serve/predictor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -75,49 +74,7 @@ Expected<core::Prediction> Predictor::predict(
     p.feature_group = tier_names_[i];  // SSO copy: tier names are short
     return p;
   }
-  return tail_predict(recent);
-}
-
-Expected<core::Prediction> Predictor::tail_predict(
-    std::span<const data::SampleRecord> recent) const {
-  if (fallback_.enabled && fallback_.harmonic_tail) {
-    // Same harmonic tail as the facade: harmonic mean of the most recent
-    // positive finite throughputs.
-    double inv_sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t k = recent.size();
-         k-- > 0 && n < fallback_.harmonic_window;) {
-      const double v = recent[k].throughput_mbps;
-      if (std::isfinite(v) && v > 0.0) {
-        inv_sum += 1.0 / v;
-        ++n;
-      }
-    }
-    if (n > 0) {
-      core::Prediction p;
-      p.throughput_mbps = static_cast<double>(n) / inv_sum;
-      p.throughput_class =
-          data::throughput_class(p.throughput_mbps, features_);
-      p.tier = static_cast<int>(specs_.size());
-      p.feature_group = "harmonic";
-      return p;
-    }
-  }
-  // Static message: the hot path never formats. The code plus the window
-  // length on the Response are enough for the caller to diagnose.
-  return Error{ErrorCode::kWindowUnusable, "window unusable"};
-}
-
-void Predictor::predict_spans(
-    std::span<const std::span<const data::SampleRecord>> windows,
-    std::span<Expected<core::Prediction>> out, std::size_t min_tier) const {
-  LUMOS_EXPECTS(out.size() >= windows.size(),
-                "Predictor::predict_spans: one output slot per window");
-  parallel_for(0, windows.size(), 8, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      out[i] = predict(windows[i], min_tier);
-    }
-  });
+  return core::harmonic_tail(recent, fallback_, features_, specs_.size());
 }
 
 void Predictor::predict_spans_columnar(
@@ -186,7 +143,8 @@ void Predictor::predict_spans_columnar(
   // Whatever no tier could serve falls to the same tail as predict().
   for (std::size_t k = 0; k < n_pending; ++k) {
     const std::uint32_t idx = scratch.pending_[k];
-    out[idx] = tail_predict(windows[idx]);
+    out[idx] = core::harmonic_tail(windows[idx], fallback_, features_,
+                                   specs_.size());
   }
 }
 
@@ -198,20 +156,9 @@ std::vector<Expected<core::Prediction>> Predictor::predict_batch(
   std::vector<Expected<core::Prediction>> out(
       sessions.size(),
       Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-  predict_spans(spans, out, min_tier);
-  return out;
-}
-
-std::vector<Expected<core::Prediction>> Predictor::predict_windows(
-    std::span<const std::vector<data::SampleRecord>> windows,
-    std::size_t min_tier) const {
-  std::vector<std::span<const data::SampleRecord>> spans;
-  spans.reserve(windows.size());
-  for (const auto& w : windows) spans.emplace_back(w);
-  std::vector<Expected<core::Prediction>> out(
-      windows.size(),
-      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-  predict_spans(spans, out, min_tier);
+  PredictScratch scratch;
+  scratch.reserve(sessions.size(), max_width_);
+  predict_spans_columnar(spans, out, scratch, min_tier);
   return out;
 }
 

@@ -1,11 +1,13 @@
 // Tests for the columnar (SoA) feature layer (DESIGN §11): the pre-binned
-// BinnedMatrix training store (code equality with the row-major encode,
-// uint8/uint16 width promotion, NaN missing-code routing), bit-identity of
-// columnar-vs-row tree training and prediction, the serving-side
-// ColumnStore + FlatForest/FlatClassifier columnar block kernels, and the
-// Predictor's tier-packed columnar batch walk against predict_spans. The
-// suite runs with LUMOS_THREADS pinned to 1 and 8 (CMake registrations):
-// every equality here is a bit-identity contract, not a tolerance.
+// BinnedMatrix training store (code equality with BinMapper::bin,
+// uint8/uint16 width promotion, NaN missing-code routing), the tree fit's
+// identity fast path against its indirected path, binned-vs-raw tree
+// prediction, the serving-side ColumnStore + FlatForest/FlatClassifier
+// columnar block kernels against their single-row references, and the
+// Predictor's tier-packed columnar batch walk against Predictor::predict.
+// The suite runs with LUMOS_THREADS pinned to 1 and 8 (CMake
+// registrations): every equality here is a bit-identity contract, not a
+// tolerance.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -75,7 +77,6 @@ TEST(BinnedMatrix, CodesMatchRowMajorEncode) {
   const auto x = make_matrix(512, 9, 11);
   ml::BinMapper mapper;
   mapper.fit(x, 64);
-  const auto codes = mapper.encode(x);
   const auto binned = ml::BinnedMatrix::build(mapper, x);
 
   ASSERT_EQ(binned.rows(), x.rows());
@@ -83,7 +84,7 @@ TEST(BinnedMatrix, CodesMatchRowMajorEncode) {
   EXPECT_EQ(binned.missing_code(), mapper.missing_code());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t f = 0; f < x.cols(); ++f) {
-      ASSERT_EQ(binned.code(r, f), codes[r * x.cols() + f])
+      ASSERT_EQ(binned.code(r, f), mapper.bin(f, x.at(r, f)))
           << "r=" << r << " f=" << f;
     }
   }
@@ -95,11 +96,10 @@ TEST(BinnedMatrix, CodesMatchRowMajorEncode) {
 
 TEST(BinnedMatrix, WideMapperPromotesToUint16) {
   // 300 quantile bins cannot fit uint8, so every non-trivial column must
-  // be promoted — and the codes must still match the row-major encode.
+  // be promoted — and the codes must still match BinMapper::bin.
   const auto x = make_matrix(2048, 4, 17);
   ml::BinMapper mapper;
   mapper.fit(x, 300);
-  const auto codes = mapper.encode(x);
   const auto binned = ml::BinnedMatrix::build(mapper, x);
 
   bool any_wide = false;
@@ -107,7 +107,7 @@ TEST(BinnedMatrix, WideMapperPromotesToUint16) {
   EXPECT_TRUE(any_wide);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t f = 0; f < x.cols(); ++f) {
-      ASSERT_EQ(binned.code(r, f), codes[r * x.cols() + f]);
+      ASSERT_EQ(binned.code(r, f), mapper.bin(f, x.at(r, f)));
     }
   }
 }
@@ -148,52 +148,17 @@ TEST(BinnedMatrix, MissingCodeAlonePromotesColumn) {
   }
 }
 
-// ---- tree training: columnar bit-identical to the row path ----------------
-
-TEST(ColumnarTreeFit, BitIdenticalToRowMajorFit) {
-  const auto x = make_matrix(1500, 8, 31);
-  ml::BinMapper mapper;
-  mapper.fit(x, 64);
-  const auto codes = mapper.encode(x);
-  const auto binned = ml::BinnedMatrix::build(mapper, x);
-
-  std::vector<double> grad(x.rows()), hess(x.rows(), 1.0);
-  Rng rng(37);
-  for (auto& g : grad) g = rng.normal(0.0, 2.0);
-  std::vector<std::size_t> idx(x.rows());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-
-  ml::TreeConfig cfg;
-  cfg.max_depth = 6;
-  ml::GradientTree row_tree, col_tree;
-  row_tree.fit(codes, mapper, grad, hess, idx, cfg);
-  col_tree.fit(binned, mapper, grad, hess, idx, cfg);
-
-  ASSERT_EQ(row_tree.nodes().size(), col_tree.nodes().size());
-  for (std::size_t i = 0; i < row_tree.nodes().size(); ++i) {
-    const auto& a = row_tree.nodes()[i];
-    const auto& b = col_tree.nodes()[i];
-    EXPECT_EQ(a.feature, b.feature) << "node " << i;
-    EXPECT_EQ(a.bin, b.bin) << "node " << i;
-    EXPECT_EQ(bits(a.threshold), bits(b.threshold)) << "node " << i;
-    EXPECT_EQ(bits(a.value), bits(b.value)) << "node " << i;
-    EXPECT_EQ(a.left, b.left) << "node " << i;
-    EXPECT_EQ(a.right, b.right) << "node " << i;
-    EXPECT_EQ(a.default_left, b.default_left) << "node " << i;
-  }
-  ASSERT_EQ(row_tree.gains().size(), col_tree.gains().size());
-  for (std::size_t i = 0; i < row_tree.gains().size(); ++i) {
-    EXPECT_EQ(bits(row_tree.gains()[i]), bits(col_tree.gains()[i]));
-  }
-}
+// ---- tree training on the columnar store ---------------------------------
 
 TEST(ColumnarTreeFit, BootstrapIndicesBitIdentical) {
-  // Non-identity index sets (a forest's bootstrap sample) must take the
-  // indirected accumulate path and still match the row fit exactly.
+  // A forest's bootstrap sample takes the indirected accumulate path. The
+  // same rows gathered into their own matrix, binned through the same
+  // mapper and fit with identity indices, take the sequential fast path
+  // and visit rows in the same order — so the two trees must match node
+  // for node, bit for bit.
   const auto x = make_matrix(1000, 6, 41);
   ml::BinMapper mapper;
   mapper.fit(x, 32);
-  const auto codes = mapper.encode(x);
   const auto binned = ml::BinnedMatrix::build(mapper, x);
 
   std::vector<double> grad(x.rows()), hess(x.rows(), 1.0);
@@ -205,26 +170,47 @@ TEST(ColumnarTreeFit, BootstrapIndicesBitIdentical) {
     i = static_cast<std::size_t>(irng.uniform_int(x.rows()));
   }
 
+  ml::FeatureMatrix gathered(idx.size(), x.cols());
+  std::vector<double> ggrad(idx.size()), ghess(idx.size(), 1.0);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+      gathered.at(i, f) = x.at(idx[i], f);
+    }
+    ggrad[i] = grad[idx[i]];
+  }
+  const auto gbinned = ml::BinnedMatrix::build(mapper, gathered);
+  std::vector<std::size_t> identity(idx.size());
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+
   ml::TreeConfig cfg;
   cfg.max_depth = 5;
-  ml::GradientTree row_tree, col_tree;
-  row_tree.fit(codes, mapper, grad, hess, idx, cfg);
-  col_tree.fit(binned, mapper, grad, hess, idx, cfg);
-  ASSERT_EQ(row_tree.nodes().size(), col_tree.nodes().size());
-  for (std::size_t i = 0; i < row_tree.nodes().size(); ++i) {
-    EXPECT_EQ(bits(row_tree.nodes()[i].value),
-              bits(col_tree.nodes()[i].value));
-    EXPECT_EQ(row_tree.nodes()[i].feature, col_tree.nodes()[i].feature);
+  ml::GradientTree boot_tree, gathered_tree;
+  boot_tree.fit(binned, mapper, grad, hess, idx, cfg);
+  gathered_tree.fit(gbinned, mapper, ggrad, ghess, identity, cfg);
+  ASSERT_GT(boot_tree.nodes().size(), 1u);
+  ASSERT_EQ(boot_tree.nodes().size(), gathered_tree.nodes().size());
+  for (std::size_t i = 0; i < boot_tree.nodes().size(); ++i) {
+    const auto& a = boot_tree.nodes()[i];
+    const auto& b = gathered_tree.nodes()[i];
+    EXPECT_EQ(a.feature, b.feature) << "node " << i;
+    EXPECT_EQ(a.bin, b.bin) << "node " << i;
+    EXPECT_EQ(bits(a.threshold), bits(b.threshold)) << "node " << i;
+    EXPECT_EQ(bits(a.value), bits(b.value)) << "node " << i;
+    EXPECT_EQ(a.left, b.left) << "node " << i;
+    EXPECT_EQ(a.right, b.right) << "node " << i;
+    EXPECT_EQ(a.default_left, b.default_left) << "node " << i;
+    EXPECT_EQ(bits(boot_tree.gains()[i]), bits(gathered_tree.gains()[i]));
   }
 }
 
 TEST(ColumnarTreeFit, NaNDefaultDirectionPreserved) {
-  // Trees trained columnar must learn the same default branch for missing
-  // values, and raw-row predict must route NaN the same way afterwards.
+  // Only column 1 holds missing values, so only its splits may learn a
+  // left default; every other split keeps the right default. Raw-row
+  // predict must then route an all-NaN row along exactly those learned
+  // branches. (tests/test_golden.cpp pins this tree's nodes and gains.)
   const auto x = make_matrix(1200, 5, 53);
   ml::BinMapper mapper;
   mapper.fit(x, 64);
-  const auto codes = mapper.encode(x);
   const auto binned = ml::BinnedMatrix::build(mapper, x);
 
   std::vector<double> grad(x.rows()), hess(x.rows(), 1.0);
@@ -233,22 +219,22 @@ TEST(ColumnarTreeFit, NaNDefaultDirectionPreserved) {
   std::vector<std::size_t> idx(x.rows());
   std::iota(idx.begin(), idx.end(), std::size_t{0});
 
-  ml::TreeConfig cfg;
-  ml::GradientTree row_tree, col_tree;
-  row_tree.fit(codes, mapper, grad, hess, idx, cfg);
-  col_tree.fit(binned, mapper, grad, hess, idx, cfg);
-
-  bool any_default_left = false;
-  for (std::size_t i = 0; i < row_tree.nodes().size(); ++i) {
-    EXPECT_EQ(row_tree.nodes()[i].default_left,
-              col_tree.nodes()[i].default_left);
-    any_default_left |= col_tree.nodes()[i].default_left;
+  ml::GradientTree tree;
+  tree.fit(binned, mapper, grad, hess, idx, ml::TreeConfig{});
+  const auto& nodes = tree.nodes();
+  ASSERT_GT(nodes.size(), 1u);
+  for (const auto& n : nodes) {
+    if (n.feature < 0 || n.feature == 1) continue;
+    EXPECT_FALSE(n.default_left) << "split on NaN-free feature " << n.feature;
   }
-  // The NaN-pocked column makes at least one learned-left split likely;
-  // regardless, every all-NaN probe row must take identical branches.
-  std::vector<double> probe(x.cols(), kNaN);
-  EXPECT_EQ(bits(row_tree.predict(probe)), bits(col_tree.predict(probe)));
-  (void)any_default_left;
+
+  std::size_t cur = 0;
+  while (nodes[cur].feature >= 0) {
+    const auto& n = nodes[cur];
+    cur = static_cast<std::size_t>(n.default_left ? n.left : n.right);
+  }
+  const std::vector<double> probe(x.cols(), kNaN);
+  EXPECT_EQ(bits(tree.predict(probe)), bits(nodes[cur].value));
 }
 
 TEST(ColumnarTreeFit, PredictBinnedMatchesRawPredict) {
@@ -265,12 +251,9 @@ TEST(ColumnarTreeFit, PredictBinnedMatchesRawPredict) {
   ml::GradientTree tree;
   tree.fit(binned, mapper, grad, hess, idx, ml::TreeConfig{});
 
-  std::vector<double> all(x.rows());
-  tree.predict_binned_all(binned, all);
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double raw = tree.predict(x.row(r));
-    ASSERT_EQ(bits(raw), bits(tree.predict_binned(binned, r))) << "row " << r;
-    ASSERT_EQ(bits(raw), bits(all[r])) << "row " << r;
+    ASSERT_EQ(bits(tree.predict(x.row(r))), bits(tree.predict_binned(binned, r)))
+        << "row " << r;
   }
 }
 
@@ -360,7 +343,7 @@ TEST(ColumnarServe, EmptyClassifierPredictsClassZero) {
   for (int c : out) EXPECT_EQ(c, 0);
 }
 
-// ---- Predictor: tier-packed columnar walk vs predict_spans ----------------
+// ---- Predictor: tier-packed columnar walk vs the single-window walk --------
 
 const core::Lumos5G& facade() {
   static const core::Lumos5G* m = [] {
@@ -406,28 +389,25 @@ TEST(PredictorColumnar, MatchesPredictSpansAtEveryMinTier) {
 
   for (std::size_t min_tier = 0; min_tier <= p.tier_specs().size() + 1;
        ++min_tier) {
-    std::vector<Expected<core::Prediction>> row_out(
-        windows.size(),
-        Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
     std::vector<Expected<core::Prediction>> col_out(
         windows.size(),
         Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-    p.predict_spans(windows, row_out, min_tier);
     p.predict_spans_columnar(windows, col_out, scratch, min_tier);
 
     for (std::size_t i = 0; i < windows.size(); ++i) {
-      ASSERT_EQ(row_out[i].has_value(), col_out[i].has_value())
+      const auto single = p.predict(windows[i], min_tier);
+      ASSERT_EQ(single.has_value(), col_out[i].has_value())
           << "min_tier=" << min_tier << " window " << i;
-      if (!row_out[i].has_value()) {
-        EXPECT_EQ(row_out[i].error().code, col_out[i].error().code);
+      if (!single.has_value()) {
+        EXPECT_EQ(single.error().code, col_out[i].error().code);
         continue;
       }
-      EXPECT_EQ(bits(row_out[i]->throughput_mbps),
+      EXPECT_EQ(bits(single->throughput_mbps),
                 bits(col_out[i]->throughput_mbps))
           << "min_tier=" << min_tier << " window " << i;
-      EXPECT_EQ(row_out[i]->throughput_class, col_out[i]->throughput_class);
-      EXPECT_EQ(row_out[i]->tier, col_out[i]->tier);
-      EXPECT_EQ(row_out[i]->feature_group, col_out[i]->feature_group);
+      EXPECT_EQ(single->throughput_class, col_out[i]->throughput_class);
+      EXPECT_EQ(single->tier, col_out[i]->tier);
+      EXPECT_EQ(single->feature_group, col_out[i]->feature_group);
     }
   }
 }

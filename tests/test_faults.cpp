@@ -18,6 +18,7 @@
 #include "data/quality.h"
 #include "ml/forest.h"
 #include "ml/gbdt.h"
+#include "serve/predictor.h"
 #include "sim/areas.h"
 #include "sim/faults.h"
 
@@ -388,6 +389,34 @@ TEST(Fallback, HarmonicTailServesOtherwiseUnusableWindow) {
   EXPECT_EQ(pred->tier, 1);  // == tier_specs().size()
   EXPECT_EQ(pred->feature_group, "harmonic");
   EXPECT_NEAR(pred->throughput_mbps, 200.0, 1e-9);
+
+  // A real mix, longer than the window: the tail must skip NaN, zero and
+  // negative samples and take the exact harmonic mean of the last three
+  // positive finite ones (40, 250, 80, accumulated newest first) — and the
+  // compiled serving predictor must answer with the same bits.
+  const double mixed[] = {120.0, 80.0, data::SampleRecord::nan_value(), 0.0,
+                          250.0, -5.0, 40.0, 0.0};
+  std::vector<data::SampleRecord> mix_window;
+  for (std::size_t t = 0; t < std::size(mixed); ++t) {
+    data::SampleRecord s;
+    s.timestamp_s = static_cast<double>(t) * 20.0;
+    s.throughput_mbps = mixed[t];
+    mix_window.push_back(s);
+  }
+  const double expected = 3.0 / (1.0 / 40.0 + 1.0 / 250.0 + 1.0 / 80.0);
+  const auto mix = predictor.predict(mix_window);
+  ASSERT_TRUE(mix.has_value());
+  EXPECT_EQ(mix->feature_group, "harmonic");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(mix->throughput_mbps),
+            std::bit_cast<std::uint64_t>(expected));
+  const auto compiled = serve::Predictor::compile(predictor);
+  ASSERT_TRUE(compiled.has_value());
+  const auto served = compiled->predict(mix_window);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(served->throughput_mbps),
+            std::bit_cast<std::uint64_t>(expected));
+  EXPECT_EQ(served->throughput_class, mix->throughput_class);
+  EXPECT_EQ(served->tier, mix->tier);
 
   // With the tail disabled the same window is a typed error.
   cfg.fallback.harmonic_tail = false;

@@ -315,6 +315,60 @@ TEST(LumosLintCallgraph, VirtualDispatchCoversDerivedOverrides) {
   EXPECT_TRUE(edge) << "call through Clock* must cover derived overrides";
 }
 
+TEST(LumosLintCallgraph, SiblingOverridesAreNotDispatchTargets) {
+  // A call on static type Fast may run Fast's method or an inherited one,
+  // never the override of a sibling derived from the same base.
+  const std::string src =
+      "namespace lumos {\n"
+      "class Model { public: virtual long run() = 0; };\n"
+      "class Fast final : public Model { public: long run() { return 1; } };\n"
+      "class Slow final : public Model { public: long run() { return 2; } };\n"
+      "long call(Fast& m) { return m.run(); }\n"
+      "}\n";
+  const auto g = build_callgraph({{"src/ml/x.cpp", src}});
+  const std::size_t call = g.find("call");
+  const std::size_t fast = g.find("Fast::run");
+  const std::size_t slow = g.find("Slow::run");
+  ASSERT_NE(call, static_cast<std::size_t>(-1));
+  ASSERT_NE(fast, static_cast<std::size_t>(-1));
+  ASSERT_NE(slow, static_cast<std::size_t>(-1));
+  bool to_fast = false, to_slow = false;
+  for (const auto& targets : g.nodes[call].out) {
+    for (std::size_t t : targets) {
+      to_fast |= (t == fast);
+      to_slow |= (t == slow);
+    }
+  }
+  EXPECT_TRUE(to_fast);
+  EXPECT_FALSE(to_slow) << "a sibling override is not a virtual target";
+}
+
+TEST(LumosLintCallgraph, NestedStructAfterAccessLabelResolvesMembers) {
+  // `private: struct Tier {...};` must register Tier so a receiver chain
+  // through it (tier.model.walk) resolves to the member's type.
+  const std::string src =
+      "namespace lumos {\n"
+      "class Walker { public: long walk() { return 1; } };\n"
+      "class Owner {\n"
+      " public:\n"
+      "  long go() { const Tier& tier = tiers_[0]; return tier.model.walk(); }\n"
+      " private:\n"
+      "  struct Tier { Walker model; };\n"
+      "  Tier tiers_[1];\n"
+      "};\n"
+      "}\n";
+  const auto g = build_callgraph({{"src/serve/x.cpp", src}});
+  const std::size_t go = g.find("Owner::go");
+  const std::size_t walk = g.find("Walker::walk");
+  ASSERT_NE(go, static_cast<std::size_t>(-1));
+  ASSERT_NE(walk, static_cast<std::size_t>(-1));
+  bool edge = false;
+  for (const auto& targets : g.nodes[go].out) {
+    for (std::size_t t : targets) edge |= (t == walk);
+  }
+  EXPECT_TRUE(edge) << "tier.model.walk() through a nested struct unresolved";
+}
+
 // ---- reachability / policy passes over the fixtures ----------------------
 
 std::vector<Finding> analyze_fixture(const std::string& name,
@@ -393,16 +447,19 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
     EXPECT_NE(g.find(root), static_cast<std::size_t>(-1))
         << "hot-path root " << root << " has no definition in src/";
   }
-  // predict_spans must reach the single-window walk (the chain the proof
-  // covers), otherwise the batched root is vacuously clean.
-  const std::size_t spans = g.find("serve::Predictor::predict_spans");
+  // The batched root must reach the columnar tree walk (the chain the
+  // proof covers), otherwise it is vacuously clean.
+  const std::size_t spans =
+      g.find("serve::Predictor::predict_spans_columnar");
   ASSERT_NE(spans, static_cast<std::size_t>(-1));
-  const std::size_t single = g.find("serve::Predictor::predict");
+  const std::size_t walk = g.find("serve::FlatForest::predict_columnar");
+  ASSERT_NE(walk, static_cast<std::size_t>(-1));
   bool edge = false;
   for (const auto& targets : g.nodes[spans].out) {
-    for (std::size_t t : targets) edge |= (t == single);
+    for (std::size_t t : targets) edge |= (t == walk);
   }
-  EXPECT_TRUE(edge) << "predict_spans no longer reaches predict";
+  EXPECT_TRUE(edge)
+      << "predict_spans_columnar no longer reaches FlatForest::predict_columnar";
 }
 
 // ---- stripper regressions through the full scan --------------------------

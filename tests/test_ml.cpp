@@ -7,6 +7,7 @@
 #include <span>
 
 #include "common/rng.h"
+#include "ml/binned.h"
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "ml/harmonic.h"
@@ -117,7 +118,7 @@ TEST(GradientTree, FitsStepFunction) {
   }
   BinMapper mapper;
   mapper.fit(x, 32);
-  const auto codes = mapper.encode(x);
+  const auto binned = BinnedMatrix::build(mapper, x);
   std::vector<std::size_t> idx(200);
   for (std::size_t i = 0; i < 200; ++i) idx[i] = i;
 
@@ -125,7 +126,7 @@ TEST(GradientTree, FitsStepFunction) {
   TreeConfig cfg;
   cfg.max_depth = 2;
   cfg.lambda = 0.0;
-  tree.fit(codes, mapper, y, hess, idx, cfg);
+  tree.fit(binned, mapper, y, hess, idx, cfg);
 
   EXPECT_NEAR(tree.predict(x.row(10)), 10.0, 1.0);
   EXPECT_NEAR(tree.predict(x.row(150)), 50.0, 1.0);
@@ -140,14 +141,14 @@ TEST(GradientTree, RespectsMaxDepthZero) {
   }
   BinMapper mapper;
   mapper.fit(x, 8);
-  const auto codes = mapper.encode(x);
+  const auto binned = BinnedMatrix::build(mapper, x);
   std::vector<std::size_t> idx(50);
   for (std::size_t i = 0; i < 50; ++i) idx[i] = i;
   GradientTree tree;
   TreeConfig cfg;
   cfg.max_depth = 0;
   cfg.lambda = 0.0;
-  tree.fit(codes, mapper, y, hess, idx, cfg);
+  tree.fit(binned, mapper, y, hess, idx, cfg);
   EXPECT_EQ(tree.nodes().size(), 1u);  // root leaf only
   EXPECT_NEAR(tree.predict(x.row(0)), 24.5, 1e-9);  // mean of 0..49
 }
@@ -156,10 +157,10 @@ TEST(GradientTree, EmptyIndicesYieldZeroLeaf) {
   FeatureMatrix x(10, 1);
   BinMapper mapper;
   mapper.fit(x, 8);
-  const auto codes = mapper.encode(x);
+  const auto binned = BinnedMatrix::build(mapper, x);
   GradientTree tree;
   std::vector<double> y(10, 1.0), hess(10, 1.0);
-  tree.fit(codes, mapper, y, hess, {}, TreeConfig{});
+  tree.fit(binned, mapper, y, hess, {}, TreeConfig{});
   EXPECT_EQ(tree.predict(x.row(0)), 0.0);
 }
 
@@ -174,13 +175,13 @@ TEST(GradientTree, GainAccumulatesOnSplitFeature) {
   }
   BinMapper mapper;
   mapper.fit(x, 32);
-  const auto codes = mapper.encode(x);
+  const auto binned = BinnedMatrix::build(mapper, x);
   std::vector<std::size_t> idx(100);
   for (std::size_t i = 0; i < 100; ++i) idx[i] = i;
   GradientTree tree;
   TreeConfig cfg;
   cfg.max_depth = 3;
-  tree.fit(codes, mapper, y, hess, idx, cfg);
+  tree.fit(binned, mapper, y, hess, idx, cfg);
   std::vector<double> gains(2, 0.0);
   tree.accumulate_gain(gains);
   EXPECT_GT(gains[0], gains[1] * 10.0);
@@ -577,18 +578,18 @@ TEST(GradientTree, BinnedPredictMatchesRawPredict) {
   }
   BinMapper mapper;
   mapper.fit(x, 32);
-  const auto codes = mapper.encode(x);
+  const auto binned = BinnedMatrix::build(mapper, x);
   std::vector<std::size_t> idx(300);
   for (std::size_t i = 0; i < 300; ++i) idx[i] = i;
 
   GradientTree tree;
   TreeConfig cfg;
   cfg.max_depth = 5;
-  tree.fit(codes, mapper, y, hess, idx, cfg);
+  tree.fit(binned, mapper, y, hess, idx, cfg);
 
   for (std::size_t i = 0; i < 300; ++i) {
-    const std::span<const std::uint16_t> row(&codes[i * 4], 4);
-    ASSERT_EQ(tree.predict(x.row(i)), tree.predict_binned(row)) << "row " << i;
+    ASSERT_EQ(tree.predict(x.row(i)), tree.predict_binned(binned, i))
+        << "row " << i;
   }
 }
 

@@ -681,21 +681,9 @@ TEST(ModelIo, HashValidCraftedArtifactsAreTypedOrExact) {
 TEST(FlatModel, GbdtForestMatchesPointerBitwise) {
   const FlatForest flat = FlatForest::flatten(gbdt_reg());
   EXPECT_EQ(flat.n_trees(), gbdt_reg().trees().size());
-  const auto batch = flat.predict_batch(lmc().x);
-  ASSERT_EQ(batch.size(), lmc().x.rows());
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
     ASSERT_EQ(bits(flat.predict(lmc().x.row(r))),
               bits(gbdt_reg().predict(lmc().x.row(r))))
-        << "row " << r;
-    ASSERT_EQ(bits(batch[r]), bits(gbdt_reg().predict(lmc().x.row(r))));
-  }
-}
-
-TEST(FlatModel, RandomForestMatchesPointerBitwise) {
-  const FlatForest flat = FlatForest::flatten(rf_reg());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(bits(flat.predict(lmc().x.row(r))),
-              bits(rf_reg().predict(lmc().x.row(r))))
         << "row " << r;
   }
 }
@@ -703,25 +691,9 @@ TEST(FlatModel, RandomForestMatchesPointerBitwise) {
 TEST(FlatModel, GbdtClassifierMatchesPointerBitwise) {
   const FlatClassifier flat = FlatClassifier::flatten(gbdt_cls());
   EXPECT_EQ(flat.n_classes(), gbdt_cls().n_classes());
-  const auto batch = flat.predict_batch(lmc().x);
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
     const auto row = lmc().x.row(r);
     ASSERT_EQ(flat.predict(row), gbdt_cls().predict(row)) << "row " << r;
-    ASSERT_EQ(batch[r], gbdt_cls().predict(row));
-    const auto da = flat.decision_function(row);
-    const auto db = gbdt_cls().decision_function(row);
-    ASSERT_EQ(da.size(), db.size());
-    for (std::size_t c = 0; c < da.size(); ++c) {
-      ASSERT_EQ(bits(da[c]), bits(db[c])) << "row " << r << " class " << c;
-    }
-  }
-}
-
-TEST(FlatModel, RandomForestClassifierMatchesPointer) {
-  const FlatClassifier flat = FlatClassifier::flatten(rf_cls());
-  for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
-    ASSERT_EQ(flat.predict(lmc().x.row(r)), rf_cls().predict(lmc().x.row(r)))
-        << "row " << r;
   }
 }
 
@@ -799,18 +771,25 @@ TEST(Predictor, BatchMatchesIndividual) {
   }
   sessions.emplace_back();  // empty session: typed error expected
 
-  const auto batch = compiled->predict_batch(sessions);
-  ASSERT_EQ(batch.size(), sessions.size());
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const auto single = compiled->predict(sessions[i]);
-    ASSERT_EQ(batch[i].has_value(), single.has_value()) << "session " << i;
-    if (!single.has_value()) {
-      EXPECT_EQ(batch[i].error().code, single.error().code);
-      continue;
+  // Every min_tier, including past the chain (harmonic tail only).
+  for (std::size_t min_tier = 0;
+       min_tier <= compiled->tier_specs().size() + 1; ++min_tier) {
+    const auto batch = compiled->predict_batch(sessions, min_tier);
+    ASSERT_EQ(batch.size(), sessions.size());
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const auto single = compiled->predict(sessions[i], min_tier);
+      ASSERT_EQ(batch[i].has_value(), single.has_value())
+          << "min_tier " << min_tier << " session " << i;
+      if (!single.has_value()) {
+        EXPECT_EQ(batch[i].error().code, single.error().code);
+        continue;
+      }
+      EXPECT_EQ(bits(batch[i]->throughput_mbps), bits(single->throughput_mbps))
+          << "min_tier " << min_tier << " session " << i;
+      EXPECT_EQ(batch[i]->throughput_class, single->throughput_class);
+      EXPECT_EQ(batch[i]->tier, single->tier);
+      EXPECT_EQ(batch[i]->feature_group, single->feature_group);
     }
-    EXPECT_EQ(bits(batch[i]->throughput_mbps), bits(single->throughput_mbps));
-    EXPECT_EQ(batch[i]->throughput_class, single->throughput_class);
-    EXPECT_EQ(batch[i]->tier, single->tier);
   }
 }
 

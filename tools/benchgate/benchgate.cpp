@@ -13,9 +13,11 @@
 // the environment. A one-line worst-ratio summary prints even on pass, so
 // green runs still leave a trend datapoint in the log.
 //
-// Exit status: 0 = within threshold (or a row is missing from the
-// baseline — new rows gate once the baseline is refreshed), 1 = regression,
-// 2 = usage/run error — including a build-type mismatch: when the
+// Exit status: 0 = within threshold (a fresh row absent from the baseline
+// is NEW and gates once the baseline is refreshed), 1 = regression or a
+// MISSING row (a baseline row the filter selects that the fresh run did
+// not produce — a deleted or renamed benchmark must leave the baseline
+// too, or the gate would silently stop covering it), 2 = usage/run error — including a build-type mismatch: when the
 // baseline's recorded build type (lumos_build_type, falling back to
 // google-benchmark's library_build_type) differs from the fresh run's,
 // the comparison measures the build type rather than the change under
@@ -185,9 +187,20 @@ int main(int argc, char** argv) {
     }
     if (bad) ++regressions;
   }
-  if (regressions > 0) {
-    std::printf("benchgate: %d row(s) regressed beyond %.1fx\n", regressions,
-                threshold);
+  // google-benchmark selects rows by regex search on the name; apply the
+  // same rule to the baseline to find the rows this run should have made.
+  int missing = 0;
+  const std::regex selected(filter);
+  for (const auto& row : base) {
+    const std::string& name = row.first;
+    if (fresh.count(name) != 0 || !std::regex_search(name, selected)) continue;
+    std::printf("benchgate: %-40s MISSING (baseline row not produced)\n",
+                name.c_str());
+    ++missing;
+  }
+  if (regressions > 0 || missing > 0) {
+    std::printf("benchgate: %d row(s) regressed beyond %.1fx, %d missing\n",
+                regressions, threshold, missing);
     return 1;
   }
   // Print the worst ratio even on pass: green runs leave a trend

@@ -95,26 +95,32 @@ struct Registry {
   /// base short -> derived shorts (one level; closed over in related())
   std::map<std::string, std::set<std::string>> derived;
 
-  /// {T} ∪ bases*(T) ∪ derived*(T) — the virtual-dispatch set.
+  /// {T} ∪ bases*(T) ∪ derived*(T) — the virtual-dispatch set: a call on
+  /// static type T runs T's method, one it inherits, or an override below
+  /// T. The two closures stay separate, so a sibling (another class
+  /// derived from one of T's bases) is never a target.
   std::set<std::string> related(const std::string& t) const {
     std::set<std::string> out{t};
     std::vector<std::string> work{t};
-    while (!work.empty()) {
+    while (!work.empty()) {  // upward: bases of bases
       const std::string cur = work.back();
       work.pop_back();
       const auto ci = class_by_short.find(cur);
-      if (ci != class_by_short.end()) {
-        for (const ClassDef* cd : ci->second) {
-          for (const std::string& b : cd->bases) {
-            if (out.insert(b).second) work.push_back(b);
-          }
+      if (ci == class_by_short.end()) continue;
+      for (const ClassDef* cd : ci->second) {
+        for (const std::string& b : cd->bases) {
+          if (out.insert(b).second) work.push_back(b);
         }
       }
+    }
+    work.push_back(t);
+    while (!work.empty()) {  // downward: derived of derived
+      const std::string cur = work.back();
+      work.pop_back();
       const auto di = derived.find(cur);
-      if (di != derived.end()) {
-        for (const std::string& d : di->second) {
-          if (out.insert(d).second) work.push_back(d);
-        }
+      if (di == derived.end()) continue;
+      for (const std::string& d : di->second) {
+        if (out.insert(d).second) work.push_back(d);
       }
     }
     return out;

@@ -43,16 +43,15 @@ std::string hop(const Node& n) {
 
 const AnalysisConfig& default_analysis() {
   static const AnalysisConfig kCfg = {
-      // The serving entry points. step()/predict_batch()/predict_windows()
-      // are convenience wrappers that allocate their output containers and
-      // immediately delegate here; the span-based entry points are what a
+      // The serving entry points. Server::step() and
+      // Predictor::predict_batch() are convenience wrappers that allocate
+      // their output containers and immediately delegate here; the span-based entry points are what a
       // latency-critical caller uses, and what the proof covers.
       {
           "serve::Server::submit",
           "serve::Server::poll",
           "serve::Server::poll_shard",
           "serve::Predictor::predict",
-          "serve::Predictor::predict_spans",
           "serve::Predictor::predict_spans_columnar",
           "serve::FlatForest::predict",
           "serve::FlatForest::predict_columnar",

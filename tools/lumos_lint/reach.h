@@ -1,11 +1,12 @@
 // Reachability pass: the hot-path proof.
 //
 // A checked-in roots table names the serving entry points (Server::submit,
-// Server::poll, Predictor::predict/predict_spans, the flat-model traversal,
-// core::Lumos5G::predict). analyze_sources() builds the call graph over the
-// whole src/ tree, walks every root's reachable set, and reports each
-// banned effect (heap allocation, lock acquisition, throw, blocking I/O,
-// wall-clock read) together with the full call chain from root to effect —
+// Server::poll, Predictor::predict/predict_spans_columnar, the flat-model
+// traversal, core::Lumos5G::predict). analyze_sources() builds the call
+// graph over the whole src/ tree, walks every root's reachable set, and
+// reports each banned effect (heap allocation, lock acquisition, throw,
+// blocking I/O, wall-clock read) together with the full call chain from
+// root to effect —
 // the finding a developer sees is not "push_back here" but "Server::poll
 // -> Predictor::predict -> feature_row_from_window -> push_back".
 //

@@ -279,6 +279,12 @@ FileSymbols extract_symbols(const std::string& path, const LexedFile& lexed) {
           ++k;  // attribute brackets
           continue;
         }
+        if (k + 1 < decl.size() && is_p(decl[k + 1], ":") &&
+            (is_id(decl[k], "public") || is_id(decl[k], "protected") ||
+             is_id(decl[k], "private"))) {
+          k += 2;  // access label: `private: struct Nested {`
+          continue;
+        }
         if (t[decl[k]].kind == TokKind::kIdent &&
             (is_id(decl[k], "alignas"))) {
           ++k;  // alignas(...) — parens were accumulated; idents inside too
