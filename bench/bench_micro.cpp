@@ -465,12 +465,12 @@ BENCHMARK(BM_ServePredictBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // The resilient server loop end to end (requests/sec): admission control,
 // deadline stamping, session upkeep, the depth-derived tier floor, and the
-// sharded batched predict, driven submit->step on a virtual clock
-// (threads = pool size = shard count, the server's default pairing). The
-// delta against BM_ServePredictBatch is the loop's overhead; the
-// threads:1 vs threads:8 ratio is the shard fan-out win (flat on a
-// single-core host). `preds_per_sec` reports served predictions per
-// second directly so the scaling curve reads off the counter column.
+// batched predict, driven submit->step on a virtual clock (threads = pool
+// size = shard count, the server's default pairing). The delta against
+// BM_ServePredictBatch is the loop's overhead. A 16-request batch is one
+// 64-row block, so the predict runs on this thread at every pool size and
+// the threads:N rows differ only in admission sharding. `preds_per_sec`
+// reports served predictions per second directly.
 void BM_ServerThroughput(benchmark::State& state) {
   static const std::vector<data::SampleRecord>* stream = [] {
     auto* v = new std::vector<data::SampleRecord>;

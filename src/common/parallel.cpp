@@ -11,32 +11,7 @@ namespace {
 
 thread_local bool t_in_parallel_region = false;
 
-// static_cast<size_t>(-1) = "not yet resolved from LUMOS_GRAIN".
-std::atomic<std::size_t> g_grain_floor{static_cast<std::size_t>(-1)};
-
-std::size_t env_grain_floor() noexcept {
-  if (const char* env = std::getenv("LUMOS_GRAIN")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
-  return 0;
-}
-
 }  // namespace
-
-std::size_t grain_floor() noexcept {
-  std::size_t f = g_grain_floor.load(std::memory_order_relaxed);
-  if (f == static_cast<std::size_t>(-1)) {
-    f = env_grain_floor();
-    g_grain_floor.store(f, std::memory_order_relaxed);
-  }
-  return f;
-}
-
-void set_grain_floor(std::size_t floor) noexcept {
-  g_grain_floor.store(floor, std::memory_order_relaxed);
-}
 
 std::size_t configured_threads() noexcept {
   if (const char* env = std::getenv("LUMOS_THREADS")) {
@@ -56,7 +31,7 @@ struct ThreadPool::Impl {
     std::size_t end = 0;
     std::size_t grain = 1;
     std::size_t n_chunks = 0;
-    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    const ChunkFn* fn = nullptr;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex m;
@@ -157,12 +132,10 @@ void ThreadPool::set_threads(std::size_t n) {
 
 bool ThreadPool::in_parallel_region() noexcept { return t_in_parallel_region; }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
+                              std::size_t grain, ChunkFn fn) {
   if (end <= begin) return;
   if (grain == 0) grain = 1;
-  grain = std::max(grain, grain_floor());
   const std::size_t n_chunks = (end - begin + grain - 1) / grain;
 
   // Sequential fallback: pool of one, a nested region, or a single chunk.

@@ -24,8 +24,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
+#include <concepts>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,19 +36,29 @@ namespace lumos {
 /// positive integer, else the hardware concurrency (min 1).
 std::size_t configured_threads() noexcept;
 
-/// Grain floor applied to every parallel_for: the effective grain is
-/// max(call-site grain, this). 0 (the default) leaves call sites alone.
-/// Resolved once from LUMOS_GRAIN; set_grain_floor overrides in-process
-/// (tests, or embedders tuning fork-join overhead on small hosts).
-///
-/// Determinism: parallel_for distributes disjoint-write iterations, so
-/// regrouping chunks never changes results; parallel_reduce derives its
-/// FP fold boundaries from its own `grain` argument before entering
-/// parallel_for (with an inner grain of 1 chunk), so a floor here cannot
-/// reassociate reductions either. Raising the floor is always
-/// bit-identity-safe.
-std::size_t grain_floor() noexcept;
-void set_grain_floor(std::size_t floor) noexcept;
+/// Non-owning reference to a chunk body `void(chunk_begin, chunk_end)`:
+/// two words, copied by value, never allocates (a std::function would
+/// heap-allocate any capture past its small buffer on every call). The
+/// referenced callable must outlive the call it is passed to; parallel_for
+/// blocks until every chunk has finished, so a lambda temporary at the
+/// call site always does.
+class ChunkFn {
+ public:
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, ChunkFn> &&
+             std::invocable<F&, std::size_t, std::size_t>)
+  ChunkFn(F&& fn) noexcept  // NOLINT(*-explicit-*)
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, std::size_t b, std::size_t e) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(b, e);
+        }) {}
+
+  void operator()(std::size_t b, std::size_t e) const { call_(obj_, b, e); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::size_t, std::size_t);
+};
 
 class ThreadPool {
  public:
@@ -72,7 +83,7 @@ class ThreadPool {
   /// chunk completed. Safe to call from inside a chunk body: nested calls
   /// run inline on the current thread.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+                    ChunkFn fn);
 
   /// True while the current thread is executing a chunk body (used to
   /// divert nested parallel regions inline).
@@ -84,9 +95,8 @@ class ThreadPool {
 };
 
 /// Convenience wrapper over the global pool.
-inline void parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+inline void parallel_for(std::size_t begin, std::size_t end,
+                         std::size_t grain, ChunkFn fn) {
   ThreadPool::global().parallel_for(begin, end, grain, fn);
 }
 

@@ -19,9 +19,8 @@ class LuSolver {
   /// Solves A x = b in-place; `b` has length n. Requires factorize() ok.
   void solve(std::vector<double>& b) const;
 
-  /// Allocation-free variant for preallocated callers (the kriging
-  /// columnar scan): solves A x = b into `x`. `b` and `x` must not alias
-  /// and both have length n. Identical arithmetic (and bits) to solve().
+  /// Solves A x = b into `x`; `b` and `x` must not alias and both have
+  /// length n. solve() is this plus its own result buffer.
   void solve_into(std::span<const double> b, std::span<double> x) const;
 
   std::size_t size() const noexcept { return n_; }

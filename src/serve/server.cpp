@@ -27,26 +27,25 @@ Server::Server(Predictor predictor, ServerConfig cfg, Clock& clock)
                                   static_cast<double>(cfg_.queue_capacity)));
 
   // Every buffer the serving path touches is allocated here, once: the
-  // per-shard admission rings and poll() window/result arenas plus the
-  // global merge arena. After construction, submit() and poll() never
-  // allocate (enforced by the lumos_lint reachability pass).
+  // per-shard admission rings and the poll() arenas. After construction,
+  // submit() and poll() never allocate (enforced by the lumos_lint
+  // reachability pass and tests/test_alloc.cpp).
   n_shards_ = cfg_.num_shards != 0 ? cfg_.num_shards
                                    : ThreadPool::global().threads();
   n_shards_ = std::max<std::size_t>(1, n_shards_);
   cfg_.num_shards = n_shards_;
   shards_ = std::make_unique<Shard[]>(n_shards_);
   for (std::size_t s = 0; s < n_shards_; ++s) {
-    Shard& sh = shards_[s];
-    sh.ring_.resize(cfg_.queue_capacity);
-    sh.window_arena_.resize(cfg_.max_batch * cfg_.session_capacity);
-    sh.span_arena_.resize(cfg_.max_batch);
-    sh.slot_arena_.resize(cfg_.max_batch);
-    sh.result_arena_.assign(
-        cfg_.max_batch,
-        Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
-    sh.scratch_.reserve(cfg_.max_batch, predictor_.max_width());
+    shards_[s].ring_.resize(cfg_.queue_capacity);
   }
   batch_arena_.resize(cfg_.max_batch);
+  window_arena_.resize(cfg_.max_batch * cfg_.session_capacity);
+  span_arena_.resize(cfg_.max_batch);
+  slot_arena_.resize(cfg_.max_batch);
+  result_arena_.assign(
+      cfg_.max_batch,
+      Expected<core::Prediction>(Error{ErrorCode::kWindowUnusable, ""}));
+  scratch_.reserve(cfg_.max_batch, predictor_.max_width());
 }
 
 Expected<std::uint64_t> Server::submit(const Request& req) {
@@ -219,16 +218,12 @@ std::size_t Server::poll(std::span<Response> out) {
 
   // 2. Expire overdue requests without touching sessions or the model —
   //    an expired answer is pure waste, so it must cost nothing. Live
-  //    requests update their session and snapshot its window into their
-  //    OWNING shard's contiguous window arena, still walking the batch in
-  //    admission order, so a UE submitting twice in one batch sees its
-  //    first observation but not its second — and every window of a UE
-  //    lands in the shard that owns its session, giving phase 3 fully
-  //    disjoint per-shard work.
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    shards_[s].n_windows_ = 0;
-    shards_[s].arena_used_ = 0;
-  }
+  //    requests update their session and snapshot its window into the
+  //    contiguous window arena, walking the batch in admission order, so
+  //    a UE submitting twice in one batch sees its first observation but
+  //    not its second.
+  std::size_t n_windows = 0;
+  std::size_t arena_used = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Pending& p = batch_arena_[i];
     Response& r = out[i];
@@ -245,68 +240,44 @@ std::size_t Server::poll(std::span<Response> out) {
     SessionEntry& entry = touch_session(p.ue_id, now);
     entry.session.observe(p.sample);
     const auto w = entry.session.window();
-    Shard& home = shards_[shard_of(p.ue_id)];
-    // arena_used_ never exceeds max_batch * session_capacity (the arena's
+    // arena_used never exceeds max_batch * session_capacity (the arena's
     // constructed size): at most max_batch windows of at most
-    // session_capacity records each, even if one shard owns the batch.
-    std::copy(w.begin(), w.end(),
-              home.window_arena_.begin() + home.arena_used_);
-    home.span_arena_[home.n_windows_] = {
-        home.window_arena_.data() + home.arena_used_, w.size()};
-    home.slot_arena_[home.n_windows_] = i;
-    home.arena_used_ += w.size();
-    ++home.n_windows_;
+    // session_capacity records each.
+    std::copy(w.begin(), w.end(), window_arena_.begin() + arena_used);
+    span_arena_[n_windows] = {window_arena_.data() + arena_used, w.size()};
+    slot_arena_[n_windows] = i;
+    arena_used += w.size();
+    ++n_windows;
   }
 
-  // 3. Fork-join over the shards: each runs one batched columnar walk
-  //    over its own spans into its own result arena (poll_shard). A
-  //    window's prediction depends only on its own rows and the tier
-  //    floor — never on which other windows share the batch — so the
-  //    per-shard split is bit-identical to the single whole-batch call
-  //    (enforced by tests/test_shard.cpp digest crosses). Grain 1 lets
-  //    LUMOS_GRAIN collapse the fan-out on hosts where it costs more
-  //    than it buys.
-  parallel_for(0, n_shards_, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t s = b; s < e; ++s) {
-      poll_shard(shards_[s], min_tier);
-    }
-  });
+  // 3. One batched columnar walk over every live window: feature rows are
+  //    packed tier by tier into the preallocated scratch and evaluated
+  //    level-synchronously over contiguous columns, forking over 64-row
+  //    blocks when the batch spans two or more. Each answer is
+  //    bit-identical to Predictor::predict on its own window (enforced by
+  //    tests/test_columnar.cpp), so shard count never shows in it.
+  predictor_.predict_spans_columnar({span_arena_.data(), n_windows},
+                                    {result_arena_.data(), n_windows},
+                                    scratch_, min_tier);
 
-  //    Merge + tally sequentially (counters are order-insensitive sums;
-  //    each out[] slot is written exactly once via slot_arena_).
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    Shard& sh = shards_[s];
-    for (std::size_t j = 0; j < sh.n_windows_; ++j) {
-      Response& r = out[sh.slot_arena_[j]];
-      if (sh.result_arena_[j].has_value()) {
-        const auto tier = static_cast<std::size_t>(sh.result_arena_[j]->tier);
-        if (tier < stats_.served_by_tier.size()) {
-          ++stats_.served_by_tier[tier];
-        }
-        ++stats_.served;
-      } else {
-        ++stats_.failed;
+  //    Tally and hand each result to its out[] slot.
+  for (std::size_t j = 0; j < n_windows; ++j) {
+    Expected<core::Prediction>& result = result_arena_[j];
+    if (result.has_value()) {
+      const auto tier = static_cast<std::size_t>(result->tier);
+      if (tier < stats_.served_by_tier.size()) {
+        ++stats_.served_by_tier[tier];
       }
-      r.result = std::move(sh.result_arena_[j]);
+      ++stats_.served;
+    } else {
+      ++stats_.failed;
     }
+    out[slot_arena_[j]].result = std::move(result);
   }
 
   // 4. Idle-session TTL sweep against the same `now` the batch saw.
   evict_expired_sessions(now);
   return n;
-}
-
-void Server::poll_shard(Shard& shard, std::size_t min_tier) const {
-  if (shard.n_windows_ == 0) return;
-  // One batched columnar walk into the shard's result arena: the shard's
-  // feature rows are packed tier-by-tier into its preallocated scratch
-  // and evaluated level-synchronously over contiguous columns —
-  // bit-identical per window to Predictor::predict (enforced by
-  // tests/test_columnar.cpp).
-  predictor_.predict_spans_columnar(
-      {shard.span_arena_.data(), shard.n_windows_},
-      {shard.result_arena_.data(), shard.n_windows_}, shard.scratch_,
-      min_tier);
 }
 
 std::vector<Response> Server::step() {
@@ -353,11 +324,9 @@ Expected<void> Server::reload_bytes(std::string_view bytes) {
     stats_.served_by_tier.assign(compiled->tier_specs().size() + 1, 0);
   }
   predictor_ = std::move(*compiled);
-  // The new model's widest tier may differ; re-reserve every shard's
-  // columnar scratch here (cold path) so poll() stays allocation-free.
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    shards_[s].scratch_.reserve(cfg_.max_batch, predictor_.max_width());
-  }
+  // The new model's widest tier may differ; re-reserve the columnar
+  // scratch here (cold path) so poll() stays allocation-free.
+  scratch_.reserve(cfg_.max_batch, predictor_.max_width());
   ++generation_;
   ++stats_.reloads_ok;
   return {};

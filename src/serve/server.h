@@ -15,9 +15,9 @@
 //     shed watermark: at or above `shed_watermark` occupancy the request is
 //     rejected with a typed kOverloaded error instead of growing the queue
 //     (and a hard cap at queue_capacity backstops a watermark of 1.0).
-//     Within poll(), the per-shard batch slices are predicted fork-join
-//     over the thread pool (see DESIGN §12), bit-identically to the
-//     single-shard walk.
+//     Shards partition admission and sessions only: poll() predicts the
+//     whole merged batch with one columnar call, which forks over 64-row
+//     blocks when the batch spans two or more (see DESIGN §12).
 //
 //   * Per-request deadlines. Each accepted request carries an absolute
 //     expiry (relative budget stamped against the injected Clock at
@@ -107,7 +107,8 @@ struct ServerConfig {
   /// hash of ue_id). 0 = thread-pool size at construction. Sharding never
   /// changes results — poll() merges shard queues back into global ticket
   /// order, so responses, tiers, and eviction effects are bit-identical at
-  /// any shard count; it only sets how wide poll() can fan out.
+  /// any shard count; it only sets how admission and sessions are
+  /// partitioned (producers on different shards take different locks).
   std::size_t num_shards = 0;
 };
 
@@ -175,16 +176,17 @@ class Server {
 
   /// Allocation-free serving step: drains up to min(max_batch, out.size())
   /// requests into caller-provided storage — expires overdue ones, applies
-  /// the depth-derived tier floor, feeds sessions, and batch-predicts over
-  /// the thread pool using the server's preallocated arenas. Returns the
-  /// number of responses written (admission order). Also runs TTL eviction
-  /// against the current clock. This is the consumer-side hot-path root in
-  /// the lint reachability proof; step() is its allocating wrapper.
+  /// the depth-derived tier floor, feeds sessions, and predicts every live
+  /// window with one Predictor::predict_spans_columnar call over the
+  /// server's preallocated arenas. Returns the number of responses written
+  /// (admission order). Also runs TTL eviction against the current clock.
+  /// This is the consumer-side hot-path root in the lint reachability
+  /// proof; step() is its allocating wrapper.
   [[nodiscard]] std::size_t poll(std::span<Response> out);
 
   /// Drains up to max_batch requests: expires overdue ones, applies the
-  /// depth-derived tier floor, feeds sessions, and batch-predicts over the
-  /// thread pool. Returns responses in admission order. Also runs TTL
+  /// depth-derived tier floor, feeds sessions, and batch-predicts. Returns
+  /// responses in admission order. Also runs TTL
   /// eviction against the current clock. Allocating wrapper over poll().
   std::vector<Response> step();
 
@@ -249,26 +251,14 @@ class Server {
   /// queue counters and mutex never false-share with a neighbour's while
   /// producers on different shards admit concurrently. Each shard owns a
   /// full-capacity ring (any single shard may momentarily hold the whole
-  /// admitted load) and the poll() arenas for its slice of the batch, so
-  /// the per-shard predict fan-out shares no mutable state.
+  /// admitted load) and the sessions of the UEs that hash to it.
   struct alignas(64) Shard {
     mutable std::mutex mu_;  ///< guards ring_/head_/count_
     std::vector<Pending> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-
-    // Consumer-side state (poll()/reload() only; no lock needed).
+    /// Consumer-side (poll()/reload() only; no lock needed).
     std::map<std::uint64_t, SessionEntry> sessions_;
-    std::vector<data::SampleRecord> window_arena_;
-    std::vector<std::span<const data::SampleRecord>> span_arena_;
-    std::vector<std::size_t> slot_arena_;  ///< out[] index per window
-    std::vector<Expected<core::Prediction>> result_arena_;
-    std::size_t n_windows_ = 0;
-    std::size_t arena_used_ = 0;
-    /// Columnar working set for predict_spans_columnar: reserved at
-    /// construction and after every successful reload (the new model may
-    /// be wider), never on the serving path.
-    PredictScratch scratch_;
   };
 
   /// Stable ue -> shard routing (splitmix64 finalizer): platform- and
@@ -287,11 +277,6 @@ class Server {
   /// needed.
   SessionEntry& touch_session(std::uint64_t ue, std::uint64_t now);
   void evict_expired_sessions(std::uint64_t now);
-
-  /// Phase-3 per-shard model work: one batched columnar predict over the
-  /// shard's window spans into its result arena. A hot-path root in the
-  /// lint reachability proof (runs inside the poll() fork-join).
-  void poll_shard(Shard& shard, std::size_t min_tier) const;
 
   ServerConfig cfg_;
   Clock* clock_;
@@ -318,9 +303,16 @@ class Server {
   std::uint64_t generation_ = 1;
   mutable ServerStats stats_;
 
-  /// Preallocated merge arena: poll() reassembles the global-ticket-order
-  /// batch here from the shard rings.
-  std::vector<Pending> batch_arena_;
+  // poll() arenas, each sized once at construction for max_batch requests.
+  std::vector<Pending> batch_arena_;  ///< merged global-ticket-order batch
+  std::vector<data::SampleRecord> window_arena_;  ///< live windows, packed
+  std::vector<std::span<const data::SampleRecord>> span_arena_;
+  std::vector<std::size_t> slot_arena_;  ///< out[] index per window
+  std::vector<Expected<core::Prediction>> result_arena_;
+  /// Columnar working set for predict_spans_columnar: reserved at
+  /// construction and after every successful reload (the new model may
+  /// be wider), never on the serving path.
+  PredictScratch scratch_;
 };
 
 }  // namespace lumos::serve

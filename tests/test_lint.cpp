@@ -447,18 +447,28 @@ TEST(LumosLintReach, RealServingPathIsProvenNotVacuous) {
     EXPECT_NE(g.find(root), static_cast<std::size_t>(-1))
         << "hot-path root " << root << " has no definition in src/";
   }
-  // The batched root must reach the columnar tree walk (the chain the
-  // proof covers), otherwise it is vacuously clean.
-  const std::size_t spans =
-      g.find("serve::Predictor::predict_spans_columnar");
-  ASSERT_NE(spans, static_cast<std::size_t>(-1));
-  const std::size_t walk = g.find("serve::FlatForest::predict_columnar");
-  ASSERT_NE(walk, static_cast<std::size_t>(-1));
-  bool edge = false;
-  for (const auto& targets : g.nodes[spans].out) {
-    for (std::size_t t : targets) edge |= (t == walk);
-  }
-  EXPECT_TRUE(edge)
+  // The serving chain the proof covers must be connected, otherwise it is
+  // vacuously clean: poll() hands the batch to the batched predictor, and
+  // the batched predictor reaches the columnar tree walk.
+  const auto has_edge = [&](const char* from, const char* to) {
+    const std::size_t f = g.find(from);
+    const std::size_t t = g.find(to);
+    if (f == static_cast<std::size_t>(-1) ||
+        t == static_cast<std::size_t>(-1)) {
+      return false;
+    }
+    for (const auto& targets : g.nodes[f].out) {
+      for (std::size_t u : targets) {
+        if (u == t) return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_edge("serve::Server::poll",
+                       "serve::Predictor::predict_spans_columnar"))
+      << "Server::poll no longer reaches Predictor::predict_spans_columnar";
+  EXPECT_TRUE(has_edge("serve::Predictor::predict_spans_columnar",
+                       "serve::FlatForest::predict_columnar"))
       << "predict_spans_columnar no longer reaches FlatForest::predict_columnar";
 }
 

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "common/parallel.h"
@@ -84,6 +85,25 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
     }
   });
   for (const double s : sums) EXPECT_EQ(s, 499500.0);
+}
+
+// ChunkFn is a non-owning reference of two words. Copying one copies the
+// reference: its constructor template is constrained away from ChunkFn
+// itself, so a copy never wraps (and then follows) its source.
+TEST(ThreadPool, ChunkFnCopiesTheReferenceNotTheWrapper) {
+  int first = 0;
+  int second = 0;
+  auto body1 = [&first](std::size_t, std::size_t) { ++first; };
+  auto body2 = [&second](std::size_t, std::size_t) { ++second; };
+  ChunkFn a = body1;
+  ChunkFn b = a;  // non-const lvalue: the case a greedy template would take
+  a = body2;
+  b(0, 1);
+  a(0, 1);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  static_assert(sizeof(ChunkFn) == 2 * sizeof(void*));
+  static_assert(!std::is_constructible_v<ChunkFn, int>);
 }
 
 TEST(ThreadPool, SetThreadsResizesPool) {

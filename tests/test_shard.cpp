@@ -5,12 +5,11 @@
 //     of the 64-row block (1, 63, 65, 127) matches per-row predict()
 //     bitwise, with the vector kernel forced off and on;
 //   * a Server with 8 shards answers the same response stream, bit for
-//     bit, as a Server with 1 shard — including when every request lands
-//     on one shard (the other seven stay empty all run);
-//   * more shards than pool threads still drains every admitted ticket,
-//     at any LUMOS_GRAIN floor;
-//   * the allocation-free KNN/kriging columnar scans match their
-//     row-major predict() twins bitwise.
+//     bit, as a Server with 1 shard — at batches inside one 64-row block
+//     and at batches whose one predict call forks over several blocks,
+//     and when every request lands on one shard (the other seven stay
+//     empty all run);
+//   * more shards than pool threads still drains every admitted ticket.
 //
 // Every assertion must hold at any LUMOS_THREADS and with LUMOS_SIMD=off
 // (the suite runs under those pins from CMake).
@@ -27,8 +26,6 @@
 #include "data/column_store.h"
 #include "data/features.h"
 #include "ml/gbdt.h"
-#include "ml/knn.h"
-#include "ml/kriging.h"
 #include "serve/flat_model.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
@@ -99,6 +96,18 @@ std::vector<data::SampleRecord> run_samples(std::size_t run_idx,
   std::vector<data::SampleRecord> out;
   out.reserve(n);
   for (std::size_t i = offset; i < offset + n; ++i) out.push_back(ds[run[i]]);
+  return out;
+}
+
+/// `n` samples: full-context stretches of successive walk runs, back to
+/// back (one run is too short for the forking batches).
+std::vector<data::SampleRecord> campaign_samples(std::size_t n) {
+  std::vector<data::SampleRecord> out;
+  for (std::size_t run = 0; out.size() < n; ++run) {
+    const auto part =
+        run_samples(run, std::min<std::size_t>(n - out.size(), 100));
+    out.insert(out.end(), part.begin(), part.end());
+  }
   return out;
 }
 
@@ -183,30 +192,41 @@ std::vector<Response> drive(Server& server, ManualClock& clock,
   return out;
 }
 
-ServerConfig shard_cfg(std::size_t num_shards) {
+ServerConfig shard_cfg(std::size_t num_shards, std::size_t max_batch = 16) {
   ServerConfig cfg;
-  cfg.queue_capacity = 64;
-  cfg.max_batch = 16;
+  cfg.queue_capacity = 4 * max_batch;
+  cfg.max_batch = max_batch;
   cfg.num_shards = num_shards;
   return cfg;
 }
 
+// max_batch 16 keeps every poll inside one 64-row block. max_batch 130 is
+// two full blocks plus a 2-row tail, so each poll's one predict call forks
+// over the pool whenever it has more than one thread (the suite also runs
+// under LUMOS_THREADS=8).
 TEST(ShardServer, EightShardsMatchOneShardBitwise) {
-  const auto samples = run_samples(0, 48);
-  ManualClock clock1, clock8;
-  Server one(make_predictor(), shard_cfg(1), clock1);
-  Server eight(make_predictor(), shard_cfg(8), clock8);
-  EXPECT_EQ(one.n_shards(), 1u);
-  EXPECT_EQ(eight.n_shards(), 8u);
-  const auto r1 = drive(one, clock1, samples, /*n_ues=*/6, /*batch=*/12);
-  const auto r8 = drive(eight, clock8, samples, /*n_ues=*/6, /*batch=*/12);
-  ASSERT_EQ(r1.size(), samples.size());
-  ASSERT_EQ(r8.size(), r1.size());
-  for (std::size_t i = 0; i < r1.size(); ++i) {
-    expect_same_response(r1[i], r8[i]);
+  struct Case {
+    std::size_t max_batch, n_samples, n_ues, submits_per_step;
+  };
+  for (const Case c : {Case{16, 48, 6, 12}, Case{130, 300, 26, 130}}) {
+    SCOPED_TRACE(c.max_batch);
+    const auto samples = campaign_samples(c.n_samples);
+    ManualClock clock1, clock8;
+    Server one(make_predictor(), shard_cfg(1, c.max_batch), clock1);
+    Server eight(make_predictor(), shard_cfg(8, c.max_batch), clock8);
+    EXPECT_EQ(one.n_shards(), 1u);
+    EXPECT_EQ(eight.n_shards(), 8u);
+    const auto r1 = drive(one, clock1, samples, c.n_ues, c.submits_per_step);
+    const auto r8 = drive(eight, clock8, samples, c.n_ues, c.submits_per_step);
+    ASSERT_EQ(r1.size(), samples.size());
+    ASSERT_EQ(r8.size(), r1.size());
+    for (std::size_t i = 0; i < r1.size(); ++i) {
+      expect_same_response(r1[i], r8[i]);
+    }
+    EXPECT_EQ(one.stats().served, eight.stats().served);
+    EXPECT_EQ(one.stats().failed, eight.stats().failed);
+    EXPECT_EQ(one.stats().served_by_tier, eight.stats().served_by_tier);
   }
-  EXPECT_EQ(one.stats().served, eight.stats().served);
-  EXPECT_EQ(one.stats().failed, eight.stats().failed);
 }
 
 // Single-UE flood: every request hashes to the same shard, so seven of
@@ -234,71 +254,18 @@ TEST(ShardServer, EmptyShardsPollToNothing) {
   EXPECT_EQ(server.queue_depth(), 0u);
 }
 
-// More shards than pool threads: the fork-join fan-out hands several
-// shards to one worker; every admitted ticket must still be answered
-// exactly once — including with the grain floor forced so high that the
-// whole fan-out collapses into a single chunk.
+// More shards than pool threads: every admitted ticket must still be
+// answered exactly once.
 TEST(ShardServer, MoreShardsThanThreadsDrains) {
   const auto samples = run_samples(0, 32);
   ThreadPool::global().set_threads(2);
-  for (const std::size_t floor : {std::size_t{0}, std::size_t{16}}) {
-    set_grain_floor(floor);
-    ManualClock clock;
-    Server server(make_predictor(), shard_cfg(8), clock);
-    const auto responses =
-        drive(server, clock, samples, /*n_ues=*/8, /*batch=*/16);
-    EXPECT_EQ(responses.size(), samples.size()) << "grain floor " << floor;
-    EXPECT_EQ(server.queue_depth(), 0u);
-  }
-  set_grain_floor(0);
+  ManualClock clock;
+  Server server(make_predictor(), shard_cfg(8), clock);
+  const auto responses =
+      drive(server, clock, samples, /*n_ues=*/8, /*batch=*/16);
+  EXPECT_EQ(responses.size(), samples.size());
+  EXPECT_EQ(server.queue_depth(), 0u);
   ThreadPool::global().set_threads(0);
-}
-
-// ---------- KNN / kriging columnar scans ----------
-
-TEST(ShardScan, KnnRegressorScanMatchesPredictBitwise) {
-  ml::KnnConfig cfg;
-  cfg.k = 7;
-  cfg.max_train = 2000;
-  ml::KnnRegressor knn(cfg);
-  knn.fit(built().x, built().y_reg);
-  ml::KnnScratch scratch;
-  scratch.reserve(knn.rows(), knn.cols(), knn.k());
-  for (std::size_t r = 0; r < 200; ++r) {
-    const auto row = built().x.row(r);
-    EXPECT_EQ(bits(knn.predict(row)), bits(knn.predict_scan(row, scratch)))
-        << "row " << r;
-  }
-}
-
-TEST(ShardScan, KnnClassifierScanMatchesPredictBitwise) {
-  ml::KnnConfig cfg;
-  cfg.k = 7;
-  cfg.max_train = 2000;
-  ml::KnnClassifier knn(cfg);
-  knn.fit(built().x, built().y_cls, data::kNumThroughputClasses);
-  ml::KnnScratch scratch;
-  scratch.reserve(knn.rows(), knn.cols(), knn.k(),
-                  data::kNumThroughputClasses);
-  for (std::size_t r = 0; r < 200; ++r) {
-    const auto row = built().x.row(r);
-    EXPECT_EQ(knn.predict(row), knn.predict_scan(row, scratch)) << "row " << r;
-  }
-}
-
-TEST(ShardScan, KrigingScanMatchesPredictBitwise) {
-  const auto loc = data::build_features(
-      airport_ds(), data::FeatureSetSpec::parse("L"), {});
-  ml::OrdinaryKriging ok;
-  ok.fit(loc.x, loc.y_reg);
-  ASSERT_GT(ok.support(), 0u);
-  ml::KrigingScratch scratch;
-  scratch.reserve(ok.support());
-  for (std::size_t r = 0; r < 200; ++r) {
-    const auto row = loc.x.row(r);
-    EXPECT_EQ(bits(ok.predict(row)), bits(ok.predict_scan(row, scratch)))
-        << "row " << r;
-  }
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ const AnalysisConfig& default_analysis() {
       {
           "serve::Server::submit",
           "serve::Server::poll",
-          "serve::Server::poll_shard",
           "serve::Predictor::predict",
           "serve::Predictor::predict_spans_columnar",
           "serve::FlatForest::predict",
@@ -61,10 +60,6 @@ const AnalysisConfig& default_analysis() {
           "serve::FlatClassifier::predict",
           "serve::FlatClassifier::predict_columnar",
           "core::Lumos5G::predict",
-          "ml::KnnRegressor::predict_scan",
-          "ml::KnnClassifier::predict_scan",
-          "ml::OrdinaryKriging::predict_scan",
-          "ml::LuSolver::solve_into",
       },
       {
           {"src/common/clock.",
