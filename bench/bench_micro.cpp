@@ -168,7 +168,9 @@ BENCHMARK(BM_GdbtTrain1k)->Unit(benchmark::kMillisecond);
 // The same fits as above but with the global pool pinned to Arg threads;
 // Arg(1) is the sequential fallback path, Arg(4) the threaded path.
 // Results are bit-identical across Args (see tests/test_parallel.cpp) —
-// only the wall clock may differ, and only on multi-core hosts.
+// only the wall clock may differ, and only on multi-core hosts. The Arg(4)
+// rows are timed in real time (`/real_time` suffix): main-thread CPU time
+// would not count the work handed to pool workers.
 
 void BM_GdbtTrainThreads(benchmark::State& state) {
   const auto built = data::build_features(
@@ -183,7 +185,11 @@ void BM_GdbtTrainThreads(benchmark::State& state) {
   }
   ThreadPool::global().set_threads(0);  // back to LUMOS_THREADS / hardware
 }
-BENCHMARK(BM_GdbtTrainThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GdbtTrainThreads)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GdbtTrainThreads)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RfTrainThreads(benchmark::State& state) {
   const auto built = data::build_features(
@@ -198,7 +204,11 @@ void BM_RfTrainThreads(benchmark::State& state) {
   }
   ThreadPool::global().set_threads(0);
 }
-BENCHMARK(BM_RfTrainThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RfTrainThreads)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RfTrainThreads)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PredictAllThreads(benchmark::State& state) {
   const auto built = data::build_features(
@@ -217,7 +227,11 @@ void BM_PredictAllThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(built.x.rows()));
 }
-BENCHMARK(BM_PredictAllThreads)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictAllThreads)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictAllThreads)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---- dirty-data path: validate / repair throughput ----
 //
@@ -436,7 +450,8 @@ const serve::Predictor& serve_predictor() {
 }
 
 // End-to-end serving throughput (preds/sec): a compiled Predictor answers
-// a fleet of per-UE sessions, batched over the pool (Arg = pool size).
+// a fleet of per-UE sessions, batched over the pool (Arg = pool size; the
+// Arg(4) row is timed in real time).
 void BM_ServePredictBatch(benchmark::State& state) {
   static const serve::Predictor* predictor = &serve_predictor();
   static const std::vector<serve::Session> sessions = [] {
@@ -461,7 +476,11 @@ void BM_ServePredictBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(sessions.size()));
 }
-BENCHMARK(BM_ServePredictBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServePredictBatch)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServePredictBatch)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // The resilient server loop end to end (requests/sec): admission control,
 // deadline stamping, session upkeep, the depth-derived tier floor, and the
@@ -469,8 +488,9 @@ BENCHMARK(BM_ServePredictBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 // size = shard count, the server's default pairing). The delta against
 // BM_ServePredictBatch is the loop's overhead. A 16-request batch is one
 // 64-row block, so the predict runs on this thread at every pool size and
-// the threads:N rows differ only in admission sharding. `preds_per_sec`
-// reports served predictions per second directly.
+// the threads:N rows differ only in admission sharding. Every row is timed
+// in real time, and `preds_per_sec` is served predictions per wall-clock
+// second (a kIsRate counter divides by the row's timer).
 void BM_ServerThroughput(benchmark::State& state) {
   static const std::vector<data::SampleRecord>* stream = [] {
     auto* v = new std::vector<data::SampleRecord>;
@@ -514,6 +534,7 @@ BENCHMARK(BM_ServerThroughput)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The SIMD columnar walk in isolation: the same flattened 300-tree GBDT

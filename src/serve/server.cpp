@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -119,61 +120,45 @@ std::size_t Server::min_tier_for_depth(std::size_t depth) const noexcept {
 
 Server::SessionEntry& Server::touch_session(std::uint64_t ue,
                                             std::uint64_t now) {
-  Shard& home = shards_[shard_of(ue)];
-  auto it = home.sessions_.find(ue);
-  if (it == home.sessions_.end()) {
-    if (n_sessions_ >= cfg_.max_sessions) {
-      // Evict the least-recently-used entry ACROSS ALL SHARDS — the LRU
-      // capacity is global, exactly as in the single-shard server, so the
-      // victim set never depends on num_shards. use_seq_ gives a strict,
-      // clock-independent recency order, so the victim is deterministic
-      // even when many sessions share one coarse timestamp.
-      Shard* victim_shard = nullptr;
-      std::map<std::uint64_t, SessionEntry>::iterator victim;
-      for (std::size_t s = 0; s < n_shards_; ++s) {
-        auto& sess = shards_[s].sessions_;
-        for (auto cand = sess.begin(); cand != sess.end(); ++cand) {
-          if (victim_shard == nullptr ||
-              cand->second.last_used_seq < victim->second.last_used_seq) {
-            victim_shard = &shards_[s];
-            victim = cand;
-          }
-        }
-      }
-      if (victim_shard != nullptr) {
-        victim_shard->sessions_.erase(victim);
-        --n_sessions_;
-        ++stats_.evicted_lru;
-      }
-    }
-    // First contact for this UE: the one amortized allocation on the
-    // serving path (a map node + the session's reserved window). Steady
-    // state — every UE already seen — allocates nothing.
-    it = home.sessions_.emplace(ue, SessionEntry{Session(cfg_.session_capacity),  // lumos-lint: allow(hot-path-alloc) first-contact session creation, amortized
-                                                 now, 0}).first;
-    ++n_sessions_;
+  auto it = sessions_.find(ue);
+  if (it != sessions_.end()) {
+    recency_.splice(recency_.end(), recency_, it->second.recency);
+  } else if (sessions_.size() < cfg_.max_sessions) {
+    // First contact below capacity: the one amortized allocation on the
+    // serving path (a map node, a list node and the session's reserved
+    // window). Steady state and churn at capacity allocate nothing.
+    recency_.push_back(ue);  // lumos-lint: allow(hot-path-alloc) below-capacity first contact, amortized
+    it = sessions_.emplace(ue, SessionEntry{Session(cfg_.session_capacity),  // lumos-lint: allow(hot-path-alloc) below-capacity first contact, amortized
+                                            now, std::prev(recency_.end())}).first;
+  } else {
+    // At capacity the least recently used UE is evicted and the newcomer
+    // takes over its map node, window storage and list node. The LRU
+    // capacity is global, so the victim never depends on num_shards. A
+    // victim served earlier in this batch is safe to reuse: poll() has
+    // already copied its window into window_arena_.
+    auto node = sessions_.extract(recency_.front());
+    node.key() = ue;
+    node.mapped().session.clear();
+    recency_.front() = ue;
+    recency_.splice(recency_.end(), recency_, recency_.begin());
+    it = sessions_.insert(std::move(node)).position;  // lumos-lint: allow(hot-path-alloc) re-inserts the extracted node handle, never allocates
+    ++stats_.evicted_lru;
   }
   it->second.last_used_ms = now;
-  it->second.last_used_seq = ++use_seq_;
   return it->second;
 }
 
 void Server::evict_expired_sessions(std::uint64_t now) {
   if (cfg_.session_ttl_ms == 0) return;
-  // Shards ascending, then map order within a shard: the evicted SET is
-  // the TTL predicate's, identical to the single-map sweep; only the
-  // bookkeeping order differs, and no observable output depends on it.
-  for (std::size_t s = 0; s < n_shards_; ++s) {
-    auto& sess = shards_[s].sessions_;
-    for (auto it = sess.begin(); it != sess.end();) {
-      if (it->second.last_used_ms + cfg_.session_ttl_ms < now) {
-        it = sess.erase(it);
-        --n_sessions_;
-        ++stats_.evicted_ttl;
-      } else {
-        ++it;
-      }
-    }
+  // The Clock never decreases (common/clock.h) and every touch moves its
+  // UE to the back, so recency order is also last_used_ms order: pop
+  // expired sessions off the front and stop at the first live one.
+  while (!recency_.empty()) {
+    const auto it = sessions_.find(recency_.front());
+    if (it->second.last_used_ms + cfg_.session_ttl_ms >= now) break;
+    sessions_.erase(it);
+    recency_.pop_front();
+    ++stats_.evicted_ttl;
   }
 }
 
@@ -221,7 +206,8 @@ std::size_t Server::poll(std::span<Response> out) {
   //    requests update their session and snapshot its window into the
   //    contiguous window arena, walking the batch in admission order, so
   //    a UE submitting twice in one batch sees its first observation but
-  //    not its second.
+  //    not its second. The snapshot also lets a later newcomer in the
+  //    same batch take over an evicted session's window storage.
   std::size_t n_windows = 0;
   std::size_t arena_used = 0;
   for (std::size_t i = 0; i < n; ++i) {

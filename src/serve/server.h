@@ -15,9 +15,9 @@
 //     shed watermark: at or above `shed_watermark` occupancy the request is
 //     rejected with a typed kOverloaded error instead of growing the queue
 //     (and a hard cap at queue_capacity backstops a watermark of 1.0).
-//     Shards partition admission and sessions only: poll() predicts the
-//     whole merged batch with one columnar call, which forks over 64-row
-//     blocks when the batch spans two or more (see DESIGN §12).
+//     Shards partition admission only: poll() predicts the whole merged
+//     batch with one columnar call, which forks over 64-row blocks when
+//     the batch spans two or more (see DESIGN §12).
 //
 //   * Per-request deadlines. Each accepted request carries an absolute
 //     expiry (relative budget stamped against the injected Clock at
@@ -32,9 +32,11 @@
 //     answered is reported honestly on Prediction::tier. The mapping is
 //     monotone in depth by construction (watermarks are kept sorted).
 //
-//   * Session lifecycle. Per-UE rolling windows are created on first use
-//     and evicted two ways: TTL (idle longer than session_ttl_ms) and
-//     capacity (LRU beyond max_sessions). An evicted UE's next request
+//   * Session lifecycle. Per-UE rolling windows live in one server-wide
+//     map, ordered by one recency list. They are created on first use and
+//     evicted two ways: TTL (idle longer than session_ttl_ms) and capacity
+//     (LRU beyond max_sessions; the newcomer reuses the victim's storage,
+//     so churn allocates nothing). An evicted UE's next request
 //     transparently rebuilds its session — it may answer from a lower tier
 //     until the window refills, which is the fallback chain working as
 //     designed, never an error.
@@ -58,6 +60,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -103,12 +106,12 @@ struct ServerConfig {
   std::uint64_t reload_backoff_ms = 10;  ///< initial backoff, doubles per retry
 
   // --- sharding ---
-  /// Number of admission/session shards (requests are routed by a stable
-  /// hash of ue_id). 0 = thread-pool size at construction. Sharding never
+  /// Number of admission shards (requests are routed by a stable hash of
+  /// ue_id). 0 = thread-pool size at construction. Sharding never
   /// changes results — poll() merges shard queues back into global ticket
   /// order, so responses, tiers, and eviction effects are bit-identical at
-  /// any shard count; it only sets how admission and sessions are
-  /// partitioned (producers on different shards take different locks).
+  /// any shard count; it only sets how admission is partitioned
+  /// (producers on different shards take different locks).
   std::size_t num_shards = 0;
 };
 
@@ -228,7 +231,7 @@ class Server {
     return stats_;
   }
   [[nodiscard]] std::size_t n_sessions() const noexcept {
-    return n_sessions_;
+    return sessions_.size();
   }
   [[nodiscard]] std::size_t n_shards() const noexcept { return n_shards_; }
 
@@ -243,22 +246,20 @@ class Server {
 
   struct SessionEntry {
     Session session;
-    std::uint64_t last_used_ms = 0;    ///< for TTL eviction
-    std::uint64_t last_used_seq = 0;   ///< for deterministic LRU order
+    std::uint64_t last_used_ms = 0;  ///< for TTL eviction
+    std::list<std::uint64_t>::iterator recency;  ///< this UE's recency_ node
   };
 
-  /// One admission/session shard. Padded to a cache line so one shard's
-  /// queue counters and mutex never false-share with a neighbour's while
+  /// One admission shard. Padded to a cache line so one shard's queue
+  /// counters and mutex never false-share with a neighbour's while
   /// producers on different shards admit concurrently. Each shard owns a
-  /// full-capacity ring (any single shard may momentarily hold the whole
-  /// admitted load) and the sessions of the UEs that hash to it.
+  /// full-capacity ring: any single shard may momentarily hold the whole
+  /// admitted load.
   struct alignas(64) Shard {
     mutable std::mutex mu_;  ///< guards ring_/head_/count_
     std::vector<Pending> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    /// Consumer-side (poll()/reload() only; no lock needed).
-    std::map<std::uint64_t, SessionEntry> sessions_;
   };
 
   /// Stable ue -> shard routing (splitmix64 finalizer): platform- and
@@ -272,9 +273,9 @@ class Server {
     return static_cast<std::size_t>(x % n_shards_);
   }
 
-  /// Returns the session for `ue`, creating it (and LRU-evicting past the
-  /// GLOBAL capacity, scanning every shard for the minimum-seq victim) if
-  /// needed.
+  /// Returns the session for `ue` and marks it most recently used,
+  /// creating it if needed; at max_sessions the newcomer takes over the
+  /// least recently used session's storage.
   SessionEntry& touch_session(std::uint64_t ue, std::uint64_t now);
   void evict_expired_sessions(std::uint64_t now);
 
@@ -298,8 +299,8 @@ class Server {
   std::size_t shed_threshold_ = 1;
 
   // Consumer-side state: only touched from poll()/reload().
-  std::size_t n_sessions_ = 0;  ///< sum over shards_[*].sessions_.size()
-  std::uint64_t use_seq_ = 0;
+  std::map<std::uint64_t, SessionEntry> sessions_;
+  std::list<std::uint64_t> recency_;  ///< UEs, least recently used first
   std::uint64_t generation_ = 1;
   mutable ServerStats stats_;
 

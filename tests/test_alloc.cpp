@@ -2,10 +2,12 @@
 // claim (DESIGN §8, §10, §12). A counting global operator new sees every
 // heap allocation in the process, including the implicit ones the static
 // lumos_lint proof cannot see (a callable converted to a type-erased
-// wrapper, a container growing behind an API). Once every UE has a session
-// and every window is full, submit() + poll() must allocate nothing:
+// wrapper, a container growing behind an API). Once the session store is
+// at capacity, submit() + poll() must allocate nothing:
 //   * batch 16 (one 64-row block) at the ambient pool size, 1 and 8 shards;
-//   * batch 256 (four blocks) on a 1-thread pool, 1 and 8 shards.
+//   * batch 256 (four blocks) on a 1-thread pool, 1 and 8 shards;
+//   * batch 16 under churn: 4x as many UEs as sessions, so every request
+//     LRU-evicts and the newcomer reuses the victim's storage.
 // A batch of two or more blocks on a pool of two or more threads forks,
 // and each real fork allocates its one Job (DESIGN §8 blind spots), so
 // that pairing is not asserted here.
@@ -119,12 +121,14 @@ const core::Lumos5G& facade() {
   return *m;
 }
 
-/// Allocations made by `n_polls` warm rounds of `batch` submits (one per
-/// UE, UEs 0..batch-1, each UE replaying its own consecutive run samples)
-/// followed by one poll(), after `warm` unmeasured rounds that create
-/// every session and fill every window.
+/// Allocations made by `n_polls` warm rounds of `batch` submits followed
+/// by one poll(), after `warm` unmeasured rounds that create every session
+/// and fill every window. Round k submits `batch` UEs taken round-robin
+/// from 0..ues-1, each UE replaying its own consecutive run samples; with
+/// `ues` > `batch` (= max_sessions) every request evicts.
 std::uint64_t warm_poll_allocations(std::size_t batch, std::size_t shards,
-                                    std::size_t n_polls) {
+                                    std::size_t n_polls,
+                                    std::size_t ues) {
   const auto& ds = airport_ds();
   const auto runs = ds.runs();
   ServerConfig cfg;
@@ -144,7 +148,8 @@ std::uint64_t warm_poll_allocations(std::size_t batch, std::size_t shards,
   std::vector<Request> requests;
   requests.reserve(rounds * batch);
   for (std::size_t k = 0; k < rounds; ++k) {
-    for (std::size_t ue = 0; ue < batch; ++ue) {
+    for (std::size_t j = 0; j < batch; ++j) {
+      const std::size_t ue = (k * batch + j) % ues;
       const auto& run = runs[ue % runs.size()];
       const std::size_t i = (ue / runs.size() + k) % run.size();
       requests.push_back({ue, ds[run[i]], 0});
@@ -163,20 +168,23 @@ std::uint64_t warm_poll_allocations(std::size_t batch, std::size_t shards,
     misses += server.poll(out) != batch;
   };
   for (std::size_t k = 0; k < warm; ++k) round(k);
+  const std::uint64_t lru_before = server.stats().evicted_lru;
   const std::uint64_t before = g_allocations.load();
   for (std::size_t k = warm; k < rounds; ++k) round(k);
   const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t evicted = server.stats().evicted_lru - lru_before;
 
   EXPECT_EQ(misses, 0u);
   EXPECT_EQ(server.n_sessions(), batch);
-  EXPECT_EQ(server.stats().evicted_lru, 0u);
+  EXPECT_EQ(evicted, ues > batch ? n_polls * batch : 0u);
   EXPECT_EQ(server.stats().failed, 0u);
   return allocations;
 }
 
 TEST(ServeAlloc, WarmPollsAllocateNothingInOneBlock) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    EXPECT_EQ(warm_poll_allocations(/*batch=*/16, shards, /*n_polls=*/100),
+    EXPECT_EQ(warm_poll_allocations(/*batch=*/16, shards, /*n_polls=*/100,
+                                    /*ues=*/16),
               0u)
         << shards << " shards, " << ThreadPool::global().threads()
         << " pool threads";
@@ -186,11 +194,22 @@ TEST(ServeAlloc, WarmPollsAllocateNothingInOneBlock) {
 TEST(ServeAlloc, WarmPollsAllocateNothingAcrossBlocksOnOneThread) {
   ThreadPool::global().set_threads(1);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    EXPECT_EQ(warm_poll_allocations(/*batch=*/256, shards, /*n_polls=*/100),
+    EXPECT_EQ(warm_poll_allocations(/*batch=*/256, shards, /*n_polls=*/100,
+                                    /*ues=*/256),
               0u)
         << shards << " shards";
   }
   ThreadPool::global().set_threads(0);
+}
+
+TEST(ServeAlloc, WarmChurnPollsAllocateNothing) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    EXPECT_EQ(warm_poll_allocations(/*batch=*/16, shards, /*n_polls=*/100,
+                                    /*ues=*/64),
+              0u)
+        << shards << " shards, " << ThreadPool::global().threads()
+        << " pool threads";
+  }
 }
 
 }  // namespace

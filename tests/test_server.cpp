@@ -1,13 +1,16 @@
 // Tests for serve::Server — the resilient long-running serving loop.
 // Covers admission control (watermark shed, hard cap, shutdown), deadline
 // expiry, watermark-driven tier degradation, deterministic session
-// eviction (LRU + TTL), and hot reload with rollback. The two load-bearing
-// bit-identity invariants: a UE's predictions are unchanged by eviction of
-// an *unrelated* session, and unchanged across a hot reload of an
-// identical artifact. Both must hold at any LUMOS_THREADS (the suite runs
+// eviction (LRU + TTL), hot reload with rollback, and concurrent producers
+// against one polling consumer. The two load-bearing bit-identity
+// invariants: a UE's predictions are unchanged by eviction of an
+// *unrelated* session, and unchanged across a hot reload of an identical
+// artifact. Both must hold at any LUMOS_THREADS (the suite runs
 // pinned to 1 and 8 from CMake).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +21,7 @@
 #include <unistd.h>
 
 #include "common/clock.h"
+#include "common/parallel.h"
 #include "core/lumos5g.h"
 #include "data/features.h"
 #include "serve/model_io.h"
@@ -372,6 +376,30 @@ TEST(Server, LruEvictionIsDeterministicAndRebuildsTransparently) {
   EXPECT_EQ(server.stats().evicted_lru, 2u);  // B was the next victim
   EXPECT_TRUE(r.result.has_value() ||
               r.result.error().code == ErrorCode::kWindowUnusable);
+
+  // Recency, not creation order, picks the victim: A is created first but
+  // touched again after B, so newcomer C evicts B and A keeps its window.
+  ManualClock c2, c3;
+  Server lru(make_predictor(), cfg, c2);
+  Server fresh(make_predictor(), cfg, c3);
+  const auto a = run_samples(0, 3);
+  const auto b = run_samples(1, 8);
+  const auto c = run_samples(2, 3);
+  serve_one(lru, 1, a[0]);
+  for (const auto& s : b) serve_one(lru, 2, s);
+  serve_one(lru, 1, a[1]);
+  // C takes over B's map node and window storage; none of B's eight
+  // records may survive, so C answers exactly as on a fresh server.
+  for (const auto& s : c) {
+    expect_same_result(serve_one(lru, 3, s).result,
+                       serve_one(fresh, 3, s).result);
+  }
+  EXPECT_EQ(lru.stats().evicted_lru, 1u);
+  const Response ra = serve_one(lru, 1, a[2]);
+  EXPECT_EQ(lru.stats().evicted_lru, 1u);  // A still had its session
+  Session shadow(cfg.session_capacity);
+  for (const auto& s : a) shadow.observe(s);
+  expect_same_result(ra.result, make_predictor().predict(shadow));
 }
 
 TEST(Server, TtlEvictsIdleSessions) {
@@ -387,6 +415,36 @@ TEST(Server, TtlEvictsIdleSessions) {
   serve_one(server, 2, samples[1]);  // the step's sweep reaps idle UE 1
   EXPECT_EQ(server.n_sessions(), 1u);
   EXPECT_EQ(server.stats().evicted_ttl, 1u);
+
+  // Staggered touches: UEs 10..12 start at t=0, UE 13 starts and UE 10 is
+  // touched again at t=600. The one sweep at t=1300 reaps exactly 11 and
+  // 12 (idle 1300 ms) and keeps 10, 13 and the newcomer 14.
+  ManualClock c2;
+  Server staggered(make_predictor(), cfg, c2);
+  const auto s10 = run_samples(0, 3);
+  const auto s13 = run_samples(1, 2);
+  for (const std::uint64_t ue : {10, 11, 12}) {
+    serve_one(staggered, ue, s10[0]);
+  }
+  c2.advance_ms(600);
+  serve_one(staggered, 13, s13[0]);
+  serve_one(staggered, 10, s10[1]);
+  EXPECT_EQ(staggered.stats().evicted_ttl, 0u);
+  c2.advance_ms(700);
+  serve_one(staggered, 14, s10[0]);
+  EXPECT_EQ(staggered.stats().evicted_ttl, 2u);
+  EXPECT_EQ(staggered.n_sessions(), 3u);
+  // The survivors kept their windows.
+  const Predictor direct = make_predictor();
+  Session shadow10(cfg.session_capacity);
+  Session shadow13(cfg.session_capacity);
+  for (const auto& s : s10) shadow10.observe(s);
+  for (const auto& s : s13) shadow13.observe(s);
+  expect_same_result(serve_one(staggered, 10, s10[2]).result,
+                     direct.predict(shadow10));
+  expect_same_result(serve_one(staggered, 13, s13[1]).result,
+                     direct.predict(shadow13));
+  EXPECT_EQ(staggered.stats().evicted_ttl, 2u);
 }
 
 // ---------- hot reload ----------
@@ -536,6 +594,104 @@ TEST(Server, StatsPartitionEveryAdmittedRequest) {
   std::uint64_t by_tier = 0;
   for (const auto n : st.served_by_tier) by_tier += n;
   EXPECT_EQ(by_tier, st.served);
+}
+
+TEST(Server, ConcurrentProducersAreAnsweredOnceInPerUeOrder) {
+  // kProducers pool tasks submit while one more task polls, with deadlines,
+  // TTL and LRU churn all active. A shed request is retried while the
+  // poller runs and dropped before it starts. The poller is the last task,
+  // so a 1-thread pool runs every producer first (shedding once the queue
+  // fills) and then drains; no task ever waits on one that cannot run.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kUesPerProducer = 8;
+  constexpr std::size_t kPerUe = 24;
+  constexpr std::size_t kUes = kProducers * kUesPerProducer;
+  ManualClock clock;
+  ServerConfig cfg;
+  cfg.queue_capacity = 64;
+  cfg.max_batch = 16;
+  cfg.max_sessions = 16;
+  cfg.session_ttl_ms = 4;
+  cfg.default_deadline_ms = 3;
+  cfg.num_shards = 4;
+  Server server(make_predictor(), cfg, clock);
+  const auto samples = run_samples(0, kPerUe);
+
+  // Each producer writes only its own UEs' ticket logs and its own attempt
+  // count; only the poller writes `answered`.
+  std::vector<std::vector<std::uint64_t>> tickets(kUes);
+  for (auto& t : tickets) t.reserve(kPerUe);
+  std::vector<std::uint64_t> attempted(kProducers, 0);
+  std::vector<Response> answered;
+  std::atomic<bool> polling{false};
+  std::atomic<std::size_t> producers_done{0};
+  parallel_for(0, kProducers + 1, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t task = begin; task < end; ++task) {
+      if (task < kProducers) {
+        for (std::size_t k = 0; k < kPerUe; ++k) {
+          for (std::size_t u = 0; u < kUesPerProducer; ++u) {
+            const std::size_t ue = task * kUesPerProducer + u;
+            for (;;) {
+              ++attempted[task];
+              const auto t = server.submit({ue, samples[k], 0});
+              if (t.has_value()) {
+                tickets[ue].push_back(*t);
+                break;
+              }
+              if (!polling.load(std::memory_order_acquire)) break;
+            }
+          }
+        }
+        producers_done.fetch_add(1, std::memory_order_release);
+        continue;
+      }
+      polling.store(true, std::memory_order_release);
+      std::vector<Response> out(cfg.max_batch);
+      for (;;) {
+        // Read before polling: once every producer has finished, an
+        // empty poll means the queue is empty for good.
+        const bool last = producers_done.load(std::memory_order_acquire) ==
+                          kProducers;
+        const std::size_t n = server.poll(out);
+        for (std::size_t i = 0; i < n; ++i) {
+          answered.push_back(std::move(out[i]));
+        }
+        if (n == 0 && last) break;
+        if (n != 0) clock.advance_ms(1);
+      }
+    }
+  });
+
+  // Every admitted ticket is answered exactly once, for the UE that
+  // submitted it.
+  std::vector<std::uint64_t> admitted;
+  for (const auto& t : tickets) {
+    admitted.insert(admitted.end(), t.begin(), t.end());
+  }
+  std::vector<std::uint64_t> served;
+  for (const Response& r : answered) served.push_back(r.ticket);
+  std::sort(admitted.begin(), admitted.end());
+  std::sort(served.begin(), served.end());
+  EXPECT_EQ(served, admitted);
+
+  // Per-UE FIFO: each UE's answers come back in its submission order.
+  std::vector<std::vector<std::uint64_t>> per_ue(kUes);
+  for (const Response& r : answered) {
+    ASSERT_LT(r.ue_id, kUes);
+    per_ue[r.ue_id].push_back(r.ticket);
+  }
+  for (std::size_t ue = 0; ue < kUes; ++ue) {
+    EXPECT_EQ(per_ue[ue], tickets[ue]) << "ue " << ue;
+  }
+
+  const auto& st = server.stats();
+  std::uint64_t attempts = 0;
+  for (const auto a : attempted) attempts += a;
+  EXPECT_EQ(st.submitted, admitted.size());
+  EXPECT_EQ(st.served + st.failed + st.deadline_expired, st.submitted);
+  EXPECT_EQ(st.submitted + st.shed, attempts);
+  EXPECT_EQ(st.rejected_shutdown, 0u);
+  EXPECT_EQ(server.queue_depth(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // benchgate — perf-regression gate over the committed micro-benchmark
 // baseline. Runs the serve/predict rows of bench_micro in google-benchmark
-// JSON mode, compares each row's cpu_time against the committed
+// JSON mode, compares each row's time against the committed
 // BENCH_micro.json, and fails (exit 1) when any row regresses beyond the
 // threshold (default 2x — generous enough for shared-CI noise, tight
-// enough to catch an accidental O(n) -> O(n^2) or a lost arena).
+// enough to catch an accidental O(n) -> O(n^2) or a lost arena). Rows
+// registered with UseRealTime() (name suffix `/real_time`) hand work to
+// pool threads, so they are gated on real_time; every other row is gated
+// on cpu_time.
 //
 //   benchgate --bench <bench_micro> --baseline <BENCH_micro.json>
 //             [--filter <regex>] [--threshold <x>]
@@ -17,10 +20,11 @@
 // is NEW and gates once the baseline is refreshed), 1 = regression or a
 // MISSING row (a baseline row the filter selects that the fresh run did
 // not produce — a deleted or renamed benchmark must leave the baseline
-// too, or the gate would silently stop covering it), 2 = usage/run error — including a build-type mismatch: when the
-// baseline's recorded build type (lumos_build_type, falling back to
-// google-benchmark's library_build_type) differs from the fresh run's,
-// the comparison measures the build type rather than the change under
+// too, or the gate would silently stop covering it), 2 = usage/run error,
+// including a build-type or host mismatch: when the baseline's recorded
+// build type (lumos_build_type, falling back to google-benchmark's
+// library_build_type) or num_cpus differs from the fresh run's, the
+// comparison measures the build or the host rather than the change under
 // test, and benchgate refuses to gate it.
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +38,8 @@
 
 namespace {
 
-/// benchmark name -> cpu_time in nanoseconds.
+/// benchmark name -> gated time in nanoseconds: real_time for `/real_time`
+/// rows, cpu_time for the rest.
 using Rows = std::map<std::string, double>;
 
 double unit_to_ns(const std::string& unit) {
@@ -46,12 +51,13 @@ double unit_to_ns(const std::string& unit) {
 }
 
 /// Minimal scanner for google-benchmark JSON output: pulls (name,
-/// cpu_time, time_unit) triples out of the "benchmarks" array without a
-/// full JSON parser. Aggregate rows (mean/median/stddev) are skipped.
+/// real_time, cpu_time, time_unit) tuples out of the "benchmarks" array
+/// without a full JSON parser and keeps each row's gated time. Aggregate
+/// rows (mean/median/stddev) are skipped.
 Rows parse_rows(const std::string& text) {
   Rows out;
   static const std::regex kRow(
-      R"rx("name"\s*:\s*"([^"]+)"[^{}]*?"cpu_time"\s*:\s*([0-9.eE+-]+)\s*,\s*"time_unit"\s*:\s*"([a-z]+)")rx");
+      R"rx("name"\s*:\s*"([^"]+)"[^{}]*?"real_time"\s*:\s*([0-9.eE+-]+)\s*,\s*"cpu_time"\s*:\s*([0-9.eE+-]+)\s*,\s*"time_unit"\s*:\s*"([a-z]+)")rx");
   for (auto it = std::sregex_iterator(text.begin(), text.end(), kRow);
        it != std::sregex_iterator(); ++it) {
     const std::string name = (*it)[1].str();
@@ -60,7 +66,12 @@ Rows parse_rows(const std::string& text) {
         name.find("_stddev") != std::string::npos) {
       continue;
     }
-    out[name] = std::atof((*it)[2].str().c_str()) * unit_to_ns((*it)[3].str());
+    static const std::string kReal = "/real_time";
+    const bool real = name.size() >= kReal.size() &&
+                      name.compare(name.size() - kReal.size(), kReal.size(),
+                                   kReal) == 0;
+    out[name] = std::atof((*it)[real ? 2 : 3].str().c_str()) *
+                unit_to_ns((*it)[4].str());
   }
   return out;
 }
@@ -92,6 +103,14 @@ std::string build_type_of(const std::string& text) {
     }
   }
   return lumos.empty() ? library : lumos;
+}
+
+/// CPU count recorded in a google-benchmark JSON context; empty when the
+/// key is absent.
+std::string num_cpus_of(const std::string& text) {
+  static const std::regex kKey(R"rx("num_cpus"\s*:\s*([0-9]+))rx");
+  std::smatch m;
+  return std::regex_search(text, m, kKey) ? m[1].str() : std::string();
 }
 
 }  // namespace
@@ -128,7 +147,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const Rows base = parse_rows(read_file(baseline));
+  const std::string base_text = read_file(baseline);
+  const Rows base = parse_rows(base_text);
   if (base.empty()) {
     std::fprintf(stderr, "benchgate: no rows parsed from baseline %s\n",
                  baseline.c_str());
@@ -153,7 +173,7 @@ int main(int argc, char** argv) {
   // A debug run gated against a Release baseline (or vice versa) measures
   // the build type, not the change under test — refuse outright rather
   // than emit a misleading pass/fail.
-  const std::string base_bt = build_type_of(read_file(baseline));
+  const std::string base_bt = build_type_of(base_text);
   const std::string fresh_bt = build_type_of(fresh_text);
   if (!base_bt.empty() && !fresh_bt.empty() && base_bt != fresh_bt) {
     std::fprintf(stderr,
@@ -161,6 +181,18 @@ int main(int argc, char** argv) {
                  "fresh run is '%s'; refusing to gate (rebuild to match, or "
                  "refresh the baseline from a '%s' build)\n",
                  base_bt.c_str(), fresh_bt.c_str(), fresh_bt.c_str());
+    return 2;
+  }
+  // Likewise a baseline from a host with a different CPU count: threaded
+  // rows are timed in real time, which scales with the cores available.
+  const std::string base_cpus = num_cpus_of(base_text);
+  const std::string fresh_cpus = num_cpus_of(fresh_text);
+  if (!base_cpus.empty() && !fresh_cpus.empty() && base_cpus != fresh_cpus) {
+    std::fprintf(stderr,
+                 "benchgate: host mismatch: baseline was recorded with "
+                 "num_cpus %s but this host has %s; refusing to gate "
+                 "(refresh the baseline on this host class)\n",
+                 base_cpus.c_str(), fresh_cpus.c_str());
     return 2;
   }
 
