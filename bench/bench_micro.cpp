@@ -575,6 +575,49 @@ BENCHMARK(BM_ColumnarWalkSimd)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+// The columnar walk on the narrow blocks serving produces once a batch is
+// split by tier (rows:1 is an open-loop poll of one request, rows:13/16 a
+// 16-request poll): the serving facade's tier-0 regressor and 3-class
+// classifier score consecutive `rows`-row blocks of airport T+M+C feature
+// rows on this thread, through the same eval_block dispatch serving uses
+// (vector groups, then the rows % width tail through the scalar walk).
+// Items are rows, so items/s across the rows:N arguments is directly
+// comparable with the rows:64 full block.
+void BM_ColumnarWalkNarrow(benchmark::State& state) {
+  static const auto built = data::build_features(
+      airport_ds(), serve_facade().tier_specs()[0],
+      serve_facade().config().features);
+  static const serve::FlatForest reg =
+      serve::FlatForest::flatten(serve_facade().tier_regressor(0));
+  static const serve::FlatClassifier cls =
+      serve::FlatClassifier::flatten(serve_facade().tier_classifier(0));
+  static const data::ColumnStore cols =
+      data::ColumnStore::from_matrix(built.x);
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  double reg_out[serve::kColumnarRowBlock];
+  int cls_out[serve::kColumnarRowBlock];
+  std::size_t row0 = 0;
+  for (auto _ : state) {
+    const auto block = cols.block(row0, rows);
+    reg.predict_columnar(block, reg_out);
+    cls.predict_columnar(block, cls_out);
+    benchmark::DoNotOptimize(reg_out);
+    benchmark::DoNotOptimize(cls_out);
+    benchmark::ClobberMemory();
+    row0 += rows;
+    if (row0 + rows > built.x.rows()) row0 = 0;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_ColumnarWalkNarrow)
+    ->ArgName("rows")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(13)
+    ->Arg(16)
+    ->Arg(64);
+
 /// The serving facade's saved artifact, shared by the reload benches.
 const std::string& serve_artifact() {
   static const std::string* bytes =

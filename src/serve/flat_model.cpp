@@ -1,5 +1,6 @@
 #include "serve/flat_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.h"
@@ -130,32 +131,56 @@ void FlatForest::eval_block_scalar(const data::ColumnBlock& block,
                                    std::size_t row0, std::size_t m,
                                    double* acc) const noexcept {
   for (std::size_t j = 0; j < m; ++j) acc[j] = base_;
+  if (m == 0) return;
 
   const FlatNode* nodes = nodes_.data();
+  // kColumnarRowBlock cursor slots: a narrow block fills the spare ones
+  // with the next trees, so one pass walks `per_pass` trees at once and
+  // slot k * m + j is tree t0 + k's cursor for row j.
+  const std::size_t per_pass = kColumnarRowBlock / m;
+  const std::size_t n_trees = roots_.size();
   std::uint32_t cur[kColumnarRowBlock];
-  for (const std::uint32_t root : roots_) {
-    for (std::size_t j = 0; j < m; ++j) cur[j] = root;
-    // Level-synchronous walk: one pass moves every still-internal row one
-    // level down. Rows are independent, so the feature gathers of a pass
-    // overlap; rows that reached a leaf park there (feature < 0).
-    bool any = true;
-    while (any) {
-      any = false;
+  std::uint8_t row_of[kColumnarRowBlock];
+  std::uint8_t live[kColumnarRowBlock];
+  for (std::size_t t0 = 0; t0 < n_trees; t0 += per_pass) {
+    const std::size_t p = std::min(per_pass, n_trees - t0);
+    const std::size_t n_slots = p * m;
+    for (std::size_t k = 0; k < p; ++k) {
       for (std::size_t j = 0; j < m; ++j) {
-        const FlatNode& n = nodes[cur[j]];
+        const std::size_t s = k * m + j;
+        cur[s] = roots_[t0 + k];
+        row_of[s] = static_cast<std::uint8_t>(j);
+        live[s] = static_cast<std::uint8_t>(s);
+      }
+    }
+    // Level-synchronous walk: one pass moves every still-internal cursor
+    // one level down. Cursors are independent, so the feature gathers of
+    // a pass overlap. `live` lists the slots still walking; a cursor that
+    // reached a leaf (feature < 0) parks there and leaves the list, so
+    // later passes skip it without a load or a branch.
+    std::size_t n_live = n_slots;
+    while (n_live > 0) {
+      std::size_t n_kept = 0;
+      for (std::size_t i = 0; i < n_live; ++i) {
+        const std::size_t s = live[i];
+        const FlatNode& n = nodes[cur[s]];
         if (n.feature < 0) continue;
-        const double v = block.col(static_cast<std::size_t>(n.feature))[row0 + j];
+        const double v = block.col(static_cast<std::size_t>(n.feature))
+                             [row0 + row_of[s]];
         const std::uint32_t left = n.left & FlatNode::kChildMask;
         const bool go_left = std::isnan(v)
                                  ? (n.left & FlatNode::kDefaultLeftBit) != 0U
                                  : v <= n.value;
-        cur[j] = left + (go_left ? 0U : 1U);
-        any = true;
+        cur[s] = left + (go_left ? 0U : 1U);
+        live[n_kept++] = static_cast<std::uint8_t>(s);
       }
+      n_live = n_kept;
     }
-    // Fold this tree's leaves in tree order — the accumulation order of
-    // predict(), so the block result is bit-identical per row.
-    for (std::size_t j = 0; j < m; ++j) acc[j] += scale_ * nodes[cur[j]].value;
+    // Fold the pass's leaves tree by tree: per row, the accumulation
+    // order of predict(), so the block result is bit-identical per row.
+    for (std::size_t s = 0; s < n_slots; ++s) {
+      acc[row_of[s]] += scale_ * nodes[cur[s]].value;
+    }
   }
 }
 
@@ -201,10 +226,15 @@ void FlatForest::eval_block_simd(const data::ColumnBlock& block,
   // group takes its next step. A single group's four gathers form a
   // serial dependency chain (cur -> feat -> value -> next cur), so
   // walking one group to completion is latency-bound; interleaving the
-  // groups keeps n_groups independent chains in flight per pass, exactly
-  // the ILP the scalar per-row loop gets from its independent rows.
+  // groups keeps independent chains in flight per pass, exactly the ILP
+  // the scalar per-row loop gets from its independent rows. A narrow
+  // block fills the spare group slots with the next trees, so every
+  // block keeps up to kMaxGroups chains in flight: slot k * n_groups + g
+  // is tree t0 + k's cursor for group g.
   constexpr std::size_t kMaxGroups = kColumnarRowBlock / kW;
   const std::size_t n_groups = m_vec / kW;
+  const std::size_t per_pass = kMaxGroups / n_groups;
+  const std::size_t n_trees = roots_.size();
   vs::VInt32 row_v[kMaxGroups];
   vs::VInt32 cur[kMaxGroups];
   vs::VDouble acc_v[kMaxGroups];
@@ -216,56 +246,68 @@ void FlatForest::eval_block_simd(const data::ColumnBlock& block,
     acc_v[g] = init_v;
   }
 
-  for (const std::uint32_t root : roots_) {
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      cur[g] = vs::broadcast_i32(static_cast<std::int32_t>(root));
-      done[g] = false;
-    }
-    std::size_t n_active = n_groups;
-    while (n_active > 0) {
+  for (std::size_t t0 = 0; t0 < n_trees; t0 += per_pass) {
+    const std::size_t p = std::min(per_pass, n_trees - t0);
+    for (std::size_t k = 0; k < p; ++k) {
+      const auto root_v =
+          vs::broadcast_i32(static_cast<std::int32_t>(roots_[t0 + k]));
       for (std::size_t g = 0; g < n_groups; ++g) {
-        if (done[g]) continue;
-        const auto nidx4 = vs::mul_i32(cur[g], four_i);
-        const auto feat = vs::gather_i32(node_i32, vs::add_i32(nidx4, two_i));
-        // A lane parks once it reaches a leaf (feature == -1); the group
-        // drops out of the passes when every lane is parked.
-        const auto active32 = vs::cmp_gt_i32(feat, minus1_i);
-        if (vs::movemask_i32(active32) == 0) {
-          done[g] = true;
-          --n_active;
-          continue;
-        }
-        const auto active = vs::mask_widen(active32);
-        const auto left_raw =
-            vs::gather_i32(node_i32, vs::add_i32(nidx4, three_i));
-        const auto thresh =
-            vs::gather_f64(node_f64, vs::mul_i32(cur[g], two_i), active);
-        // Column gather: parked lanes have feature == -1, so their index
-        // is garbage — the mask guarantees no memory access happens for
-        // them (gather_f64 contract).
-        const auto col_idx =
-            vs::add_i32(vs::mul_i32(feat, stride_v), row_v[g]);
-        const auto v = vs::gather_f64(block.base, col_idx, active);
-        // go_left = NaN ? default-left-bit : v <= threshold. cmp_le is an
-        // ordered compare, so a NaN lane reads false there, and the
-        // default bit is the sign bit of the packed left word.
-        const auto le = vs::cmp_le(v, thresh);
-        const auto nan = vs::is_nan(v);
-        const auto dfl = vs::mask_widen(vs::topbit_mask_i32(left_raw));
-        const auto go_left =
-            vs::bit_or(vs::bit_andnot(nan, le), vs::bit_and(nan, dfl));
-        const auto left = vs::and_i32(left_raw, child_mask_i);
-        const auto child =
-            vs::add_i32(left, vs::blend_i32(go_left, zero_i, one_i));
-        cur[g] = vs::blend_i32(active, child, cur[g]);
+        cur[k * n_groups + g] = root_v;
+        done[k * n_groups + g] = false;
       }
     }
-    // Fold this tree's leaves in tree order: one mul + one add per lane,
-    // the same IEEE op sequence as predict()/eval_block_scalar.
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const auto leaf =
-          vs::gather_f64(node_f64, vs::mul_i32(cur[g], two_i), all_lanes);
-      acc_v[g] = vs::add(acc_v[g], vs::mul(scale_v, leaf));
+    std::size_t n_active = p * n_groups;
+    while (n_active > 0) {
+      for (std::size_t k = 0; k < p; ++k) {
+        for (std::size_t g = 0; g < n_groups; ++g) {
+          const std::size_t s = k * n_groups + g;
+          if (done[s]) continue;
+          const auto nidx4 = vs::mul_i32(cur[s], four_i);
+          const auto feat =
+              vs::gather_i32(node_i32, vs::add_i32(nidx4, two_i));
+          // A lane parks once it reaches a leaf (feature == -1); the slot
+          // drops out of the passes when every lane is parked.
+          const auto active32 = vs::cmp_gt_i32(feat, minus1_i);
+          if (vs::movemask_i32(active32) == 0) {
+            done[s] = true;
+            --n_active;
+            continue;
+          }
+          const auto active = vs::mask_widen(active32);
+          const auto left_raw =
+              vs::gather_i32(node_i32, vs::add_i32(nidx4, three_i));
+          const auto thresh =
+              vs::gather_f64(node_f64, vs::mul_i32(cur[s], two_i), active);
+          // Column gather: parked lanes have feature == -1, so their index
+          // is garbage — the mask guarantees no memory access happens for
+          // them (gather_f64 contract).
+          const auto col_idx =
+              vs::add_i32(vs::mul_i32(feat, stride_v), row_v[g]);
+          const auto v = vs::gather_f64(block.base, col_idx, active);
+          // go_left = NaN ? default-left-bit : v <= threshold. cmp_le is
+          // an ordered compare, so a NaN lane reads false there, and the
+          // default bit is the sign bit of the packed left word.
+          const auto le = vs::cmp_le(v, thresh);
+          const auto nan = vs::is_nan(v);
+          const auto dfl = vs::mask_widen(vs::topbit_mask_i32(left_raw));
+          const auto go_left =
+              vs::bit_or(vs::bit_andnot(nan, le), vs::bit_and(nan, dfl));
+          const auto left = vs::and_i32(left_raw, child_mask_i);
+          const auto child =
+              vs::add_i32(left, vs::blend_i32(go_left, zero_i, one_i));
+          cur[s] = vs::blend_i32(active, child, cur[s]);
+        }
+      }
+    }
+    // Fold the pass's leaves tree by tree: per lane one mul + one add per
+    // tree in tree order, the same IEEE op sequence as
+    // predict()/eval_block_scalar.
+    for (std::size_t k = 0; k < p; ++k) {
+      for (std::size_t g = 0; g < n_groups; ++g) {
+        const auto leaf = vs::gather_f64(
+            node_f64, vs::mul_i32(cur[k * n_groups + g], two_i), all_lanes);
+        acc_v[g] = vs::add(acc_v[g], vs::mul(scale_v, leaf));
+      }
     }
   }
   for (std::size_t g = 0; g < n_groups; ++g) {

@@ -26,10 +26,11 @@
 namespace lumos::serve {
 
 /// Rows evaluated together by the columnar batch kernels: a block's
-/// per-row cursors and accumulators live in fixed stack arrays, and each
-/// tree is walked level-synchronously across the whole block (the rows'
-/// traversals are independent, so the per-level gathers overlap instead
-/// of serializing on one row's dependency chain).
+/// cursors and accumulators live in fixed stack arrays, and trees are
+/// walked level-synchronously across the whole block (the traversals are
+/// independent, so the per-level gathers overlap instead of serializing
+/// on one row's dependency chain). It is also the kernels' cursor budget:
+/// a narrower block spends the spare cursors on further trees per pass.
 inline constexpr std::size_t kColumnarRowBlock = 64;
 
 /// One node, 16 bytes. Internal nodes: `value` is the split threshold,
@@ -64,13 +65,14 @@ class FlatForest {
   /// Columnar batch predict: out[r] receives row r's prediction,
   /// bit-identical to predict() on the equivalent contiguous row (same
   /// per-tree accumulation order, same NaN default routing). Rows are
-  /// evaluated in blocks of kColumnarRowBlock — per block, every tree is
-  /// walked one level at a time across all rows, reading feature values
-  /// from the block's contiguous columns. Allocation-free (stack cursors
-  /// only); blocks are chunked over the global thread pool and each out
-  /// slot is written once, so the result is identical at any
-  /// LUMOS_THREADS. Requires out.size() >= block.n_rows. A root in the
-  /// lint hot-path reachability proof.
+  /// evaluated in blocks of kColumnarRowBlock — per block, trees are
+  /// walked one level at a time across all rows (several trees per pass
+  /// when the block is narrow), reading feature values from the block's
+  /// contiguous columns. Allocation-free (stack cursors only); blocks are
+  /// chunked over the global thread pool and each out slot is written
+  /// once, so the result is identical at any LUMOS_THREADS. Requires
+  /// out.size() >= block.n_rows. A root in the lint hot-path reachability
+  /// proof.
   void predict_columnar(const data::ColumnBlock& block,
                         std::span<double> out) const;
 
@@ -99,13 +101,18 @@ class FlatForest {
                   std::size_t m, double* acc) const noexcept;
 
   /// The reference level-synchronous scalar walk (always compiled; the
-  /// LUMOS_SIMD=off fallback and the short-tail path).
+  /// LUMOS_SIMD=off fallback and the short-tail path). Its
+  /// kColumnarRowBlock row cursors walk kColumnarRowBlock / m trees per
+  /// pass, and each pass's leaves are folded in tree order.
   void eval_block_scalar(const data::ColumnBlock& block, std::size_t row0,
                          std::size_t m, double* acc) const noexcept;
 
   /// Branch-free SIMD-width walk: per level one feature gather, one
   /// column-value masked gather, one ordered compare + NaN default-route
-  /// blend per lane group. Defined only when a vector ISA is compiled in.
+  /// blend per lane group. It has kColumnarRowBlock / width lane-group
+  /// cursors, so it walks (kColumnarRowBlock / width) / n_groups trees
+  /// per pass, folded in tree order; the m % width tail rows go through
+  /// eval_block_scalar. Defined only when a vector ISA is compiled in.
   void eval_block_simd(const data::ColumnBlock& block, std::size_t row0,
                        std::size_t m, double* acc) const noexcept;
 

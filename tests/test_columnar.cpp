@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/lumos5g.h"
 #include "data/column_store.h"
 #include "data/dataset.h"
@@ -332,6 +333,74 @@ TEST(ColumnarServe, FlatClassifierMatchesRowPredict) {
   flat.predict_columnar(cols.block(0, lmc().x.rows()), out);
   for (std::size_t r = 0; r < lmc().x.rows(); ++r) {
     ASSERT_EQ(out[r], flat.predict(lmc().x.row(r))) << "row " << r;
+  }
+}
+
+/// Restores the process-wide SIMD switch when a test returns, also on a
+/// failed ASSERT.
+struct SimdRestore {
+  bool was = simd::enabled();
+  ~SimdRestore() { simd::set_enabled(was); }
+};
+
+// A narrow block walks several trees per pass (64 / width row cursors in
+// the scalar kernel, 16 / groups lane-group cursors in the vector one),
+// then folds their leaves in tree order. Every width 1..64, at an odd row
+// offset, over tree counts below, equal to and not divisible by the
+// trees per pass, must give predict()'s bits, NaN rows included.
+TEST(ColumnarServe, EveryBlockWidthMatchesRowPredict) {
+  constexpr std::size_t kRows = 160;
+  ml::FeatureMatrix holed(kRows, lmc().x.cols());
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto src = lmc().x.row(r);
+    const auto dst = holed.row(r);
+    for (std::size_t f = 0; f < holed.cols(); ++f) dst[f] = src[f];
+    if (r % 11 == 4) {
+      for (std::size_t f = 0; f < holed.cols(); ++f) dst[f] = kNaN;
+    } else if (r % 3 == 0) {
+      dst[r % holed.cols()] = kNaN;
+    }
+  }
+  const auto cols = data::ColumnStore::from_matrix(holed);
+
+  ml::GbdtConfig cfg;
+  cfg.max_depth = 5;
+  std::vector<serve::FlatForest> forests;
+  for (const int n : {1, 3, 17, 40}) {
+    cfg.n_estimators = n;
+    ml::GbdtRegressor model(cfg);
+    model.fit(lmc().x, lmc().y_reg);
+    forests.push_back(serve::FlatForest::flatten(model));
+    ASSERT_EQ(forests.back().n_trees(), static_cast<std::size_t>(n));
+  }
+  cfg.n_estimators = 17;
+  ml::GbdtClassifier cls_model(cfg);
+  cls_model.fit(lmc().x, lmc().y_cls, data::kNumThroughputClasses);
+  const auto cls = serve::FlatClassifier::flatten(cls_model);
+  ASSERT_EQ(cls.n_classes(), 3);
+
+  const SimdRestore restore;
+  double reg_out[serve::kColumnarRowBlock];
+  int cls_out[serve::kColumnarRowBlock];
+  for (const bool use_simd : {false, true}) {
+    simd::set_enabled(use_simd);
+    for (std::size_t w = 1; w <= serve::kColumnarRowBlock; ++w) {
+      const std::size_t off = 2 * w % serve::kColumnarRowBlock + 1;
+      const auto block = cols.block(off, w);
+      for (const auto& flat : forests) {
+        flat.predict_columnar(block, reg_out);
+        for (std::size_t j = 0; j < w; ++j) {
+          ASSERT_EQ(bits(reg_out[j]), bits(flat.predict(holed.row(off + j))))
+              << "simd=" << use_simd << " width=" << w
+              << " trees=" << flat.n_trees() << " row " << off + j;
+        }
+      }
+      cls.predict_columnar(block, cls_out);
+      for (std::size_t j = 0; j < w; ++j) {
+        ASSERT_EQ(cls_out[j], cls.predict(holed.row(off + j)))
+            << "simd=" << use_simd << " width=" << w << " row " << off + j;
+      }
+    }
   }
 }
 

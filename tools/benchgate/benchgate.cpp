@@ -1,9 +1,9 @@
 // benchgate — perf-regression gate over the committed micro-benchmark
-// baseline. Runs the serve/predict rows of bench_micro in google-benchmark
-// JSON mode, compares each row's time against the committed
-// BENCH_micro.json, and fails (exit 1) when any row regresses beyond the
-// threshold (default 2x — generous enough for shared-CI noise, tight
-// enough to catch an accidental O(n) -> O(n^2) or a lost arena). Rows
+// baseline. Runs the serve/predict/reload rows of bench_micro in
+// google-benchmark JSON mode, compares each row's time against the
+// committed BENCH_micro.json, and fails (exit 1) when any row regresses
+// beyond the threshold (default 2x — generous enough for shared-CI noise,
+// tight enough to catch an accidental O(n) -> O(n^2) or a lost arena). Rows
 // registered with UseRealTime() (name suffix `/real_time`) hand work to
 // pool threads, so they are gated on real_time; every other row is gated
 // on cpu_time.
@@ -120,7 +120,9 @@ int main(int argc, char** argv) {
   std::string baseline;
   std::string filter = "BM_ServerThroughput|BM_FlatVsPointerPredict|"
                        "BM_ServePredictBatch|BM_HistogramBuild|"
-                       "BM_ColumnarVsRowPredict|BM_ColumnarWalkSimd";
+                       "BM_ColumnarVsRowPredict|BM_ColumnarWalkSimd|"
+                       "BM_ColumnarWalkNarrow|BM_ArtifactLoad|"
+                       "BM_ServerReloadStall";
   double threshold = 2.0;
   if (const char* env = std::getenv("LUMOS_BENCHGATE_FACTOR")) {
     const double f = std::atof(env);
